@@ -4,39 +4,27 @@ Threads inject requests (subject to their gaps and MLP windows); each
 channel of the memory controller drains at its own pace; completions
 wake stalled threads.
 
-The loop is deterministic: equal-time events process in insertion
-order.  Two loop implementations share that contract:
+:meth:`System.run` is a single-heap loop and deterministic: thread
+readiness, load completions and channel wakes are all heap entries,
+and every scheduled occurrence -- thread wake, channel wake (or re-arm
+to an earlier cycle), completion delivery -- consumes one ticket from a
+single global sequence counter, so occurrences are processed in
+``(cycle, seq)`` order and equal-time events in insertion order.  A
+re-arm leaves the superseded channel entry in the heap; it is
+recognised as stale by its cycle and skipped when popped.  Nothing in
+the simulator advances state between events, so jumping the clock from
+one popped event to the next skips no work.
 
-* :meth:`System.run` -- the production *event-horizon* loop.  Thread
-  readiness and load completions live in a heap; each channel's single
-  live wake lives in a per-channel array slot (re-arming overwrites the
-  slot, so superseded wakes never exist as heap garbage).  Every
-  iteration jumps the clock straight to the earliest horizon -- the
-  minimum ``(cycle, seq)`` over the heap top and the armed channel
-  wakes, which covers REF ticks, controller wake cycles, and thread
-  readiness -- instead of popping and discarding intermediate stale
-  heap events.
-* :meth:`System.run` with ``reference=True`` -- the original
-  single-heap step-by-step loop, kept as the executable specification.
-  ``tests/test_event_loop.py`` pins both loops to the same per-bank
-  command stream, and the golden suites pin them to the streams
-  recorded before this rewrite.
-
-Event ordering contract (both loops): every scheduled occurrence --
-thread wake, channel wake (or re-arm to an earlier cycle), completion
-delivery -- consumes one ticket from a single global sequence counter,
-and occurrences are processed in ``(cycle, seq)`` order.  Fast-forward
-is legal precisely because nothing in the simulator advances state
-between events: skipping from one horizon to the next cannot skip
-work, only bookkeeping.
+``tests/event_loop_reference.py`` keeps the simulator's original loop
+as the executable specification, and ``tests/test_event_loop.py`` pins this
+loop to it command for command.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.controller.address import AddressMapping
 from repro.controller.mc import McConfig, MemoryController
@@ -146,13 +134,13 @@ class System:
 
     # -- the event loop --------------------------------------------------------------
 
-    def run(self, reference: bool = False) -> SystemResult:
-        """Simulate to completion.
+    def run(self) -> SystemResult:
+        """Simulate to completion with the single-heap event loop."""
+        return self._run_with(self._loop)
 
-        ``reference=True`` runs the pre-rewrite single-heap loop (the
-        executable spec of the event ordering); both loops produce
-        byte-identical command streams and results.
-        """
+    def _run_with(self, loop) -> SystemResult:
+        """Run ``loop(sampler, next_sample) -> last_cycle`` and assemble
+        the result; any loop honouring the ordering contract fits."""
         # Snapshot sampling: when off, ``next_sample`` sits past
         # max_cycles so the hot loop pays one int compare and nothing
         # else.
@@ -164,10 +152,7 @@ class System:
             sampler = SnapshotSampler(self, obs)
             next_sample = obs.sample_interval
 
-        if reference:
-            last_cycle = self._loop_reference(sampler, next_sample)
-        else:
-            last_cycle = self._loop_fast(sampler, next_sample)
+        last_cycle = loop(sampler, next_sample)
 
         if sampler is not None:
             sampler.sample(last_cycle)
@@ -197,34 +182,17 @@ class System:
             "simulation exceeded max_cycles; the system is likely "
             "livelocked (check mitigation blocking times)")
 
-    # -- the event-horizon loop (production) --------------------------------------
-
-    def _loop_fast(self, sampler, next_sample: int) -> int:
-        """Event-horizon loop; returns the last processed cycle.
+    def _loop(self, sampler, next_sample: int) -> int:
+        """The single-heap event loop; returns the last processed cycle.
 
         Heap events are ``(cycle, seq, kind, payload)`` with kind 0 =
-        thread readiness and kind 1 = load completion; ``seq`` tickets
-        are drawn from the same global counter as channel-wake arms, so
-        the ``(cycle, seq)`` total order is identical to the reference
-        loop's push order.  Channel wakes are not heap events: channel
-        ``ch``'s live wake sits in ``wake_cycle[ch]`` / ``wake_seq[ch]``
-        (-1 = unarmed) and each iteration fast-forwards the clock to the
-        minimum ``(cycle, seq)`` across the heap top and the armed
-        wakes.  The reference loop instead leaves superseded wakes in
-        the heap and pops/discards them one by one.
-
-        Seq-revival: in the reference loop a superseded wake entry
-        ``(cycle, seq)`` stays in the heap, and if the channel is later
-        re-armed *at that same cycle* the old entry -- with its old,
-        earlier seq -- is the one that fires (the stale check compares
-        cycles, not seqs).  Same-cycle ordering against other events
-        depends on it.  ``pend[ch]`` therefore keeps, per armed-at
-        cycle, the FIFO of pushed-and-still-live seq tickets: arming
-        appends a fresh ticket (the reference always pushes a new heap
-        entry) but the *effective* seq is the FIFO head, which an
-        earlier superseded push may own.  Tickets the reference's pop
-        pointer has already passed (``(cycle, seq) <=`` the event being
-        processed) are pruned at arm time; firing consumes the head.
+        thread readiness, 1 = load completion and 2 = channel wake.
+        ``armed_wake[ch]`` holds channel ``ch``'s live wake cycle (-1 =
+        unarmed); re-arming to an earlier cycle pushes a second entry,
+        and an entry whose cycle no longer matches ``armed_wake`` is
+        stale and skipped before any bookkeeping.  A superseded entry
+        whose channel is re-armed at its own cycle is live again and,
+        carrying the older seq, fires first (see DESIGN.md section 13).
         """
         config = self.config
         max_cycles = config.max_cycles
@@ -239,67 +207,18 @@ class System:
         for thread in threads:
             heappush(heap, (thread.next_ready, seq, 0, thread.thread_id))
             seq += 1
-        nchan = config.geometry.channels
-        chan_range = range(nchan)
-        wake_cycle = [-1] * nchan
-        wake_seq = [0] * nchan
-        pend: List[Dict[int, List[int]]] = [{} for _ in chan_range]
-        armed = 0
+        armed_wake = [-1] * config.geometry.channels
         last_cycle = 0
-        kind = 0
-        payload = None
         # O(1) termination bookkeeping: a thread finishes exactly once
         # (its last issue for posted-write tails, its last read
         # completion otherwise), so count down instead of re-scanning
         # ``all(t.finished ...)`` after every drain.
         unfinished = sum(1 for t in threads if not t.finished)
 
-        # ``armed_one`` caches the channel index when exactly one wake
-        # is armed (the common state for sparse traffic); -1 means
-        # unknown, so the selection scan below rediscovers it.
-        armed_one = -1
-
-        while True:
-            # -- fast-forward: find the earliest horizon ------------------
-            wch = -1
-            if armed:
-                if armed == 1 and armed_one >= 0:
-                    wch = armed_one
-                    wc = wake_cycle[wch]
-                    ws = wake_seq[wch]
-                else:
-                    wc = ws = -1
-                    for ch in chan_range:
-                        c = wake_cycle[ch]
-                        if c >= 0 and (wc < 0 or c < wc or
-                                       (c == wc and wake_seq[ch] < ws)):
-                            wc = c
-                            ws = wake_seq[ch]
-                            wch = ch
-                if heap:
-                    top = heap[0]
-                    tc = top[0]
-                    if tc < wc or (tc == wc and top[1] < ws):
-                        wch = -1
-            if wch >= 0:
-                cycle = wake_cycle[wch]
-                wake_cycle[wch] = -1
-                armed -= 1
-                armed_one = -1
-                fifos = pend[wch]
-                fifo = fifos[cycle]
-                del fifo[0]  # the fired ticket is the armed head
-                if not fifo:
-                    del fifos[cycle]
-                elif len(fifos) > 2:
-                    # Tickets for passed cycles can never revive (arms
-                    # never target a cycle before the clock).
-                    for c in [c for c in fifos if c < cycle]:
-                        del fifos[c]
-            elif heap:
-                cycle, _s, kind, payload = heappop(heap)
-            else:
-                break
+        while heap:
+            cycle, _s, kind, payload = heappop(heap)
+            if kind == 2 and armed_wake[payload] != cycle:
+                continue  # stale: the channel was re-armed earlier
             if cycle > max_cycles:
                 raise self._livelock()
             if cycle > last_cycle:
@@ -307,30 +226,22 @@ class System:
             if cycle >= next_sample:
                 next_sample = sampler.sample(cycle)
 
-            if wch >= 0:
+            if kind == 2:
                 # -- channel wake: drain commands up to ``cycle`` ---------
-                completions, wake = drain(wch, cycle)
+                completions, wake = drain(payload, cycle)
                 for request, done in completions:
                     # Data returns at `done`, possibly beyond this drain
                     # horizon: deliver it as its own event.
                     heappush(heap, (done if done > cycle else cycle,
                                     seq, 1, request))
                     seq += 1
-                if wake is not None:
+                if wake is None:
+                    armed_wake[payload] = -1
+                else:
                     at = wake if wake > cycle else cycle + 1
-                    # at > cycle, so no ticket pruning is needed here.
-                    c = wake_cycle[wch]
-                    if c < 0 or at < c:
-                        fifo = pend[wch].get(at)
-                        if fifo is None:
-                            pend[wch][at] = fifo = []
-                        fifo.append(seq)
-                        seq += 1
-                        wake_cycle[wch] = at
-                        wake_seq[wch] = fifo[0]
-                        if c < 0:
-                            armed += 1
-                            armed_one = wch if armed == 1 else -1
+                    armed_wake[payload] = at
+                    heappush(heap, (at, seq, 2, payload))
+                    seq += 1
                 # Termination can only first become true after a drain
                 # (pending hits zero) or a completion (a final load
                 # returns); thread events always add pending work.
@@ -360,25 +271,12 @@ class System:
                     if thread.finished:
                         # Posted-write tail: drained with no loads out.
                         unfinished -= 1
-                    now_s = _s
                     for ch in touched:
-                        c = wake_cycle[ch]
+                        c = armed_wake[ch]
                         if c < 0 or cycle < c:
-                            fifo = pend[ch].get(cycle)
-                            if fifo is not None:
-                                # Drop tickets the reference's pop
-                                # pointer already passed and discarded.
-                                while fifo and fifo[0] <= now_s:
-                                    del fifo[0]
-                            else:
-                                pend[ch][cycle] = fifo = []
-                            fifo.append(seq)
+                            armed_wake[ch] = cycle
+                            heappush(heap, (cycle, seq, 2, ch))
                             seq += 1
-                            wake_cycle[ch] = cycle
-                            wake_seq[ch] = fifo[0]
-                            if c < 0:
-                                armed += 1
-                                armed_one = ch if armed == 1 else -1
                 # drained/stalled_on_mlp inlined: reschedule unless the
                 # trace is exhausted or the load window is full.
                 pending = thread._pending
@@ -407,86 +305,5 @@ class System:
                     seq += 1
                 if not unfinished and mc._pending_total == 0:
                     break
-
-        return last_cycle
-
-    # -- the reference loop (executable spec) --------------------------------------
-
-    def _loop_reference(self, sampler, next_sample: int) -> int:
-        """The pre-rewrite single-heap loop, kept as the ordering spec.
-
-        Channel wakes are ordinary heap events here; a re-arm to an
-        earlier cycle pushes a second event and the superseded one is
-        recognised (``armed_wake[ch] != cycle``) and discarded when
-        popped.  Apart from those no-op stale pops -- which touch no
-        simulator state -- the processed event sequence is identical to
-        :meth:`_loop_fast`.
-        """
-        counter = itertools.count()
-        heap: List = []
-
-        def push(cycle: int, kind: str, payload) -> None:
-            heapq.heappush(heap, (cycle, next(counter), kind, payload))
-
-        for thread in self.threads:
-            push(thread.next_ready, "thread", thread.thread_id)
-
-        last_cycle = 0
-
-        # Earliest scheduled wake per channel; later duplicates are
-        # dropped when popped (each drain re-derives its next wake).
-        armed_wake: Dict[int, Optional[int]] = {
-            ch: None for ch in range(self.config.geometry.channels)}
-
-        def arm_channel(ch: int, at: int) -> None:
-            current = armed_wake[ch]
-            if current is None or at < current:
-                armed_wake[ch] = at
-                push(at, "channel", ch)
-
-        while heap:
-            cycle, _seq, kind, payload = heapq.heappop(heap)
-            if cycle > self.config.max_cycles:
-                raise self._livelock()
-            last_cycle = max(last_cycle, cycle)
-            if cycle >= next_sample:
-                next_sample = sampler.sample(cycle)
-
-            if kind == "thread":
-                thread = self.threads[payload]
-                touched = set()
-                while thread.can_issue(cycle):
-                    request = thread.issue(cycle)
-                    self.mc.enqueue(request)
-                    touched.add(request.location.channel)
-                for ch in touched:
-                    arm_channel(ch, cycle)
-                if not thread.drained and not thread.stalled_on_mlp(cycle):
-                    push(thread.next_ready, "thread", thread.thread_id)
-                # If stalled on MLP, a completion event reschedules us.
-
-            elif kind == "channel":
-                ch = payload
-                if armed_wake[ch] != cycle:
-                    continue  # stale duplicate; an earlier event ran
-                armed_wake[ch] = None
-                completions, wake = self.mc.drain(ch, cycle)
-                for request, done in completions:
-                    push(max(done, cycle), "complete", request)
-                if wake is not None:
-                    arm_channel(ch, max(wake, cycle + 1))
-
-            else:  # complete
-                request = payload
-                thread = self.threads[request.thread_id]
-                thread.on_completion(request, cycle)
-                if not thread.drained and thread.can_issue(cycle):
-                    push(cycle, "thread", thread.thread_id)
-
-            # pending_requests() is an O(1) counter read; check it first
-            # so the common not-done case skips the thread scan.
-            if self.mc.pending_requests() == 0 \
-                    and all(t.finished for t in self.threads):
-                break
 
         return last_cycle

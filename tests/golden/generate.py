@@ -97,12 +97,13 @@ _BANK_COMMANDS = ("issue_act", "issue_pre", "issue_rd", "issue_wr",
                   "issue_ref", "issue_rfm")
 
 
-def run_captured(system):
+def run_captured(system, run=None):
     """Run ``system`` recording every bank command as a text event.
 
     Events are ``"<ch>.<rk>.<bk> <OP> [row] @<cycle>"`` in issue order;
     the digest over the joined stream is the cycle-identical fingerprint
-    two scheduler implementations must share.
+    two scheduler implementations must share.  ``run(system)`` replaces
+    ``system.run()`` when given (e.g. to drive another event loop).
     """
     from repro.dram.bank import Bank
 
@@ -127,7 +128,7 @@ def run_captured(system):
         originals[name] = getattr(Bank, name)
         setattr(Bank, name, make_wrapper(name, originals[name]))
     try:
-        result = system.run()
+        result = system.run() if run is None else run(system)
     finally:
         for name, orig in originals.items():
             setattr(Bank, name, orig)

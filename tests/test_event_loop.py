@@ -1,14 +1,19 @@
-"""Fast loop vs reference loop: same events, same order, same stream.
+"""``System.run`` vs the reference loop: same events, same order, same stream.
 
-The production event-horizon loop (``System.run()``) and the
-single-heap reference loop (``System.run(reference=True)``) implement
-one event-ordering contract (see ``repro/sim/system.py``).  These tests
-pin them to each other directly -- same per-bank command stream digest,
+The production single-heap loop (``System.run()``) and the reference
+loop (``run_reference`` in ``tests/event_loop_reference.py``, the
+simulator's original loop kept as the executable spec) implement one
+event-ordering contract (see ``repro/sim/system.py``).  These tests pin
+them to each other directly -- same per-bank command stream digest,
 same ``SystemResult`` -- across every mitigation class the scheduler
 special-cases, with refresh off, and with observability sampling on.
-The golden suite separately pins both to the pre-rewrite recordings;
-this suite is the fast/reference bridge that localises a divergence to
-the loop rewrite rather than the controller.
+The sparse case and the golden scenarios also assert that the reference
+saw *revived* wakes (a superseded channel wake firing because its
+channel was re-armed at the same cycle), so the equivalence provably
+covers the ordering corner case of DESIGN.md section 13.  The golden
+suite separately pins the production loop to the pre-rewrite
+recordings; this suite localises a divergence to the loop rather than
+the controller.
 """
 
 import importlib.util
@@ -18,6 +23,7 @@ import pytest
 
 from repro.sim import System, SystemConfig
 from repro.workloads.trace import WorkloadProfile
+from tests.event_loop_reference import run_reference
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -32,10 +38,10 @@ def _load_generator():
 
 GEN = _load_generator()
 
-#: Sparse traffic with long idle gaps between requests: the fast loop
-#: spends most of its iterations fast-forwarding across REF horizons
-#: and re-arming channel wakes at already-armed cycles, which is
-#: exactly where the seq-revival bookkeeping must match the reference.
+#: Sparse traffic with long idle gaps between requests: the loop spends
+#: most of its iterations jumping across REF horizons and re-arming
+#: channel wakes at already-armed cycles, which is exactly where wake
+#: revival decides same-cycle ordering.
 _SPARSE = WorkloadProfile(
     name="loop-sparse", mpki=0.4, row_buffer_locality=0.3,
     write_fraction=0.25, footprint_pages=512)
@@ -55,71 +61,45 @@ def _result_fields(result):
 
 
 def _run_pair(build):
-    """Build two identical systems; run one fast, one reference."""
+    """Build two identical systems; run one through ``System.run``, one
+    through the reference loop.  Returns the result and the number of
+    revived wakes the reference saw."""
     fast_sys = build()
     ref_sys = build()
     fast_result, fast_digest, fast_events = GEN.run_captured(fast_sys)
-    ref_result, ref_digest, ref_events = _run_captured_reference(ref_sys)
+    revived = []
+
+    def run(system):
+        result, count = run_reference(system)
+        revived.append(count)
+        return result
+
+    ref_result, ref_digest, ref_events = GEN.run_captured(ref_sys, run=run)
     assert fast_events == ref_events
     assert fast_digest == ref_digest
     assert _result_fields(fast_result) == _result_fields(ref_result)
-    return fast_result
-
-
-def _run_captured_reference(system):
-    """``GEN.run_captured`` but through the reference loop."""
-    import hashlib
-
-    from repro.dram.bank import Bank
-
-    addr_of = {id(bank): addr
-               for addr, bank in system.device.banks.items()}
-    events = []
-    originals = {}
-
-    def make_wrapper(name, orig):
-        def wrapped(self, *args, **kwargs):
-            out = orig(self, *args, **kwargs)
-            addr = addr_of.get(id(self))
-            if addr is not None:
-                where = f"{addr.channel}.{addr.rank}.{addr.bank}"
-                if name == "issue_act":
-                    events.append(f"{where} ACT {args[0]} @{args[1]}")
-                else:
-                    events.append(
-                        f"{where} {name[6:].upper()} @{args[0]}")
-            return out
-        return wrapped
-
-    for name in GEN._BANK_COMMANDS:
-        originals[name] = getattr(Bank, name)
-        setattr(Bank, name, make_wrapper(name, originals[name]))
-    try:
-        result = system.run(reference=True)
-    finally:
-        for name, orig in originals.items():
-            setattr(Bank, name, orig)
-    digest = hashlib.sha256("\n".join(events).encode()).hexdigest()
-    return result, digest, len(events)
+    return fast_result, revived[0]
 
 
 class TestFastMatchesReference:
     @pytest.mark.parametrize("scheme", GEN.SCHEMES)
     def test_golden_scenarios(self, scheme):
-        _run_pair(lambda: GEN.build_system(scheme)[0])
+        _, revived = _run_pair(lambda: GEN.build_system(scheme)[0])
+        assert revived > 0
 
     def test_sparse_idle_traffic(self):
         def build():
             config = SystemConfig(requests_per_thread=300, seed=77)
             return System([_SPARSE] * 3, config=config)
-        _run_pair(build)
+        _, revived = _run_pair(build)
+        assert revived > 0
 
     def test_refresh_disabled(self):
         def build():
             config = SystemConfig(requests_per_thread=300, seed=31,
                                   enable_refresh=False)
             return System([_SPARSE, GEN.THREADS[0]], config=config)
-        result = _run_pair(build)
+        result, _ = _run_pair(build)
         assert result.refreshes == 0
 
     def test_with_observability_sampling(self):
@@ -133,7 +113,7 @@ class TestFastMatchesReference:
         obs_fast = Observability.in_memory(sample_interval=5_000)
         obs_ref = Observability.in_memory(sample_interval=5_000)
         fast = build(obs_fast).run()
-        ref = build(obs_ref).run(reference=True)
+        ref, _ = run_reference(build(obs_ref))
         obs_fast.close()
         obs_ref.close()
         assert _result_fields(fast) == _result_fields(ref)
@@ -153,5 +133,5 @@ class TestDeterminism:
         system_fast, _ = GEN.build_system("none")
         system_ref, _ = GEN.build_system("none")
         fast = system_fast.run()
-        ref = system_ref.run(reference=True)
+        ref, _ = run_reference(system_ref)
         assert fast.cycles == ref.cycles
