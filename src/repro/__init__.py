@@ -31,14 +31,13 @@ from repro.version import __version__
 from repro.core import Shadow, ShadowConfig
 from repro.dram import DDR4_2666, DDR5_4800, DramGeometry
 from repro.rowhammer import DisturbanceModel, HammerConfig
-from repro.sim import ExperimentRunner, System, SystemConfig
+from repro.sim import System, SystemConfig
 
 __all__ = [
     "DDR4_2666",
     "DDR5_4800",
     "DisturbanceModel",
     "DramGeometry",
-    "ExperimentRunner",
     "HammerConfig",
     "Shadow",
     "ShadowConfig",

@@ -356,18 +356,14 @@ def cmd_redteam(args) -> int:
 
 #: Drivers that run on the experiment engine and take its flags.
 ENGINE_EXPERIMENTS = frozenset(
-    ["fig8", "fig9", "fig10", "fig11", "fig12", "ablations",
-     "scheme-matrix", "redteam"])
-
-#: Experiment names whose driver module is not ``repro.experiments.<name>``.
-_EXPERIMENT_MODULES = {"scheme-matrix": "matrix"}
+    ["fig8", "fig9", "fig10", "fig11", "fig12", "ablations", "extended",
+     "redteam"])
 
 
 def cmd_experiment(args) -> int:
     """Handle ``shadow-repro experiment <name>``."""
     import importlib
-    module = importlib.import_module(
-        f"repro.experiments.{_EXPERIMENT_MODULES.get(args.name, args.name)}")
+    module = importlib.import_module(f"repro.experiments.{args.name}")
     if args.dump_spec:
         import json
         if not hasattr(module, "spec"):
@@ -523,11 +519,11 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("name", choices=["table2", "table3", "fig8",
                                         "fig9", "fig10", "fig11",
                                         "fig12", "ablations", "extended",
-                                        "scheme-matrix", "redteam"])
+                                        "redteam"])
     exp_p.add_argument("fidelity", nargs="?", choices=["smoke", "full"])
     exp_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for engine-backed drivers "
-                            "(fig8-fig12, ablations)")
+                       help=f"worker processes for engine-backed drivers "
+                            f"({', '.join(sorted(ENGINE_EXPERIMENTS))})")
     exp_p.add_argument("--no-cache", action="store_true",
                        help="bypass the persistent result cache")
     _add_fault_tolerance_flags(exp_p, "for engine-backed drivers")

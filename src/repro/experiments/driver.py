@@ -18,9 +18,9 @@ This module interprets that data:
    SPEC group, Figure 11's mix-random variants).
 
 Metrics live in a registry of their own (:data:`METRICS`): the
-simulation ratios are defined here, the closed-form analytic metrics
-register from the modules that own their models (``table2``, ``table3``,
-``ablations``).  Because specs are plain data, ``run_spec`` accepts a
+simulation ratios and run counts are defined here, the closed-form
+analytic metrics register from the modules that own their models
+(``table2``, ``table3``, ``ablations``).  Because specs are plain data, ``run_spec`` accepts a
 spec rehydrated from JSON just as happily as one built in code --
 ``python -m repro.experiments.driver grid.json`` runs a serialized
 experiment end to end.
@@ -172,11 +172,29 @@ class _RfmPerRef:
         return counts.rfms / max(1, counts.refreshes)
 
 
+class _SharedCount:
+    """One count from the shared scheme run: a :class:`JobResult` field
+    (``stat="rfms"``) or, for a dotted name, an observability counter
+    (``stat="mitigation.rfm-filtered"``; 0 if it never fired)."""
+
+    def plan(self, rp):
+        return {"scheme": shared_job(rp.profiles, rp.point.scheme,
+                                     rp.config)}
+
+    def value(self, rp, plan, results):
+        result = results[plan["scheme"]]
+        stat = rp.params["stat"]
+        if "." in stat:
+            return result.metrics["metrics"].get(stat, 0)
+        return getattr(result, stat)
+
+
 METRICS.register("ws-relative", _WsRelative())
 METRICS.register("st-relative", _StRelative())
 METRICS.register("mt-relative", _MtRelative())
 METRICS.register("relative-power", _RelativePower())
 METRICS.register("rfm-per-ref", _RfmPerRef())
+METRICS.register("shared-count", _SharedCount())
 
 
 # -- the interpreter ---------------------------------------------------------------

@@ -70,12 +70,7 @@ from typing import (
     Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
-from repro.experiments.schemes import (
-    BLOCKHAMMER_HISTORY_SCALE,
-    BLOCKHAMMER_RATE_SCALE,
-)
 from repro.obs import MetricRegistry
-from repro.sim.metrics import relative_weighted_speedup
 from repro.sim.system import System, SystemConfig, SystemResult
 from repro.spec import FaultSpec, SchemeSpec, scheme_spec
 from repro.utils.cache import DEFAULT_CACHE_DIR, ResultCache, spec_digest
@@ -97,6 +92,17 @@ def rfm_scheme_specs(hcnt: int,
                                     radius=blast_radius),
         "DRR": scheme_spec("drr"),
     }
+
+
+#: Steady-state correction for BlockHammer's epoch-length blacklist
+#: counters: our runs cover roughly 1% of a CBF epoch (see
+#: BlockHammerConfig.history_scale).
+BLOCKHAMMER_HISTORY_SCALE = 100.0
+
+#: Trace-rate normalization for BlockHammer's throttle (see
+#: BlockHammerConfig.rate_scale): the synthetic hot rows run about an
+#: order of magnitude hotter than the benign applications they model.
+BLOCKHAMMER_RATE_SCALE = 10.0
 
 
 def archsim_scheme_specs(hcnt: int) -> Dict[str, SchemeSpec]:
@@ -757,61 +763,10 @@ class Engine:
         return pool
 
 
-# -- metric plans ------------------------------------------------------------------
-
-class WsRelativePlan:
-    """Bookkeeping for WS(scheme)/WS(baseline) ratios (Figures 8-11).
-
-    ``add`` registers a labelled (profiles, scheme) pair and derives the
-    three job groups the ratio needs -- per-profile alone runs under the
-    baseline, the shared scheme run, the shared baseline run.  ``jobs``
-    is the deduplicated union, ready for :meth:`Engine.run`; ``value``
-    assembles each label's ratio from the results.
-
-    Both weighted speedups use the *baseline system's* alone times as
-    the IPC_alone reference (the conventional normalisation); using each
-    scheme's own alone times would let a scheme that slows solo
-    execution paradoxically raise its ratio above 1.
-    """
-
-    def __init__(self, config: SystemConfig,
-                 baseline: SchemeSpec = BASELINE):
-        self.config = config
-        self.baseline = baseline
-        self._entries: Dict[Any, Tuple[Tuple[Job, ...], Job, Job]] = {}
-        self._jobs: Dict[Job, None] = {}
-
-    def _register(self, job: Job) -> Job:
-        self._jobs.setdefault(job, None)
-        return job
-
-    def add(self, label: Any, profiles: Sequence[WorkloadProfile],
-            scheme: SchemeSpec) -> None:
-        profiles = tuple(profiles)
-        alone = tuple(
-            self._register(alone_job(p, self.baseline, self.config))
-            for p in profiles)
-        shared_scheme = self._register(
-            shared_job(profiles, scheme, self.config))
-        shared_base = self._register(
-            shared_job(profiles, self.baseline, self.config))
-        self._entries[label] = (alone, shared_scheme, shared_base)
-
-    @property
-    def jobs(self) -> List[Job]:
-        return list(self._jobs)
-
-    def value(self, label: Any, results: Dict[Job, JobResult]) -> float:
-        alone, shared_scheme, shared_base = self._entries[label]
-        alone_cycles = [results[j].thread_finish_cycles[0] for j in alone]
-        return relative_weighted_speedup(
-            alone_cycles,
-            results[shared_scheme].thread_finish_cycles,
-            results[shared_base].thread_finish_cycles)
-
-
 __all__ = [
     "BASELINE",
+    "BLOCKHAMMER_HISTORY_SCALE",
+    "BLOCKHAMMER_RATE_SCALE",
     "Engine",
     "EngineStats",
     "Job",
@@ -819,7 +774,6 @@ __all__ = [
     "JobFailure",
     "JobResult",
     "SchemeSpec",
-    "WsRelativePlan",
     "alone_job",
     "archsim_scheme_specs",
     "rfm_scheme_specs",

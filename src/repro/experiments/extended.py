@@ -5,29 +5,42 @@ central scheme registry (:data:`repro.spec.SCHEMES`), so it includes
 Graphene, stand-alone PARA, the post-paper MINT and DAPPER trackers,
 and every future scheme that registers an ``hcnt``-buildable factory --
 no table here to keep in sync.  The Section VIII filtered-RFM variant
-of SHADOW is the one composite added by hand (it wraps another scheme,
-so it has no stand-alone registry entry).  Used to sanity-check that
-the whole mitigation zoo behaves sensibly side by side, and to quantify
-how many RFMs the hazard filter saves on benign traffic.
+of SHADOW is the one extra row (registry entry ``filtered``, which
+wraps another scheme and so is not ``hcnt``-buildable on its own).
+
+One declarative :class:`~repro.spec.ExperimentSpec`: each row is a
+``ws-relative`` point plus two ``shared-count`` points (RFMs issued,
+RFMs the hazard filter skipped) that read the same shared scheme run,
+so the counts cost no extra simulation.  CI drives it under
+``--keep-going`` as the ``tracker-matrix`` job: a scheme whose
+construction or simulation breaks turns into an engine failure and a
+nonzero exit instead of silently falling out of the comparison set.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Optional
 
-from repro.core.config import secure_raaimt
 from repro.experiments.configs import DEFAULT_HCNT, fidelity_config
-from repro.experiments.report import format_table, save_results
-from repro.mitigations import FilteredRfm
-from repro.sim.runner import ExperimentRunner
+from repro.experiments.driver import run_spec
+from repro.experiments.engine import Engine
+from repro.experiments.report import (
+    driver_arg_parser,
+    engine_from_args,
+    format_table,
+    report_failures,
+    save_results,
+)
+from repro.spec import ExperimentSpec, PointSpec, scheme_spec, workload_spec
 from repro.spec.registry import SCHEMES
-from repro.workloads import mix_blend
 
-#: Registry name -> table label.  Names absent from this map print as
-#: registered; names mapped to ``None`` are excluded from the sweep.
+#: Registry entries with no row: ``none`` is the baseline every ratio
+#: divides by, ``shadow-ablate`` duplicates ``shadow`` at its default
+#: toggles.
+_SKIP = frozenset({"none", "shadow-ablate"})
+
+#: Registry name -> table label; unlisted names print as registered.
 _DISPLAY = {
-    "none": None,           # the normalization baseline, not a scheme row
-    "shadow-ablate": None,  # identical to "shadow" at default toggles
     "shadow": "SHADOW",
     "parfm": "PARFM",
     "para": "PARA",
@@ -41,60 +54,62 @@ _DISPLAY = {
     "dapper": "DAPPER",
 }
 
-
-def scheme_factories(hcnt: int) -> Dict[str, callable]:
-    """Fresh-instance factories for every ``hcnt``-buildable scheme.
-
-    Driven by the scheme registry: anything constructible from ``hcnt``
-    alone (the same criterion the CLI uses) gets a row, built exactly
-    as the CLI and cached experiment jobs build it.
-    """
-    factories: Dict[str, callable] = {}
-    for name in SCHEMES.names():
-        label = _DISPLAY.get(name, name)
-        if label is None or not SCHEMES.accepts(name, "hcnt"):
-            continue
-        params = SCHEMES.buildable_params(name, {"hcnt": hcnt})
-        factories[label] = lambda n=name, p=params: SCHEMES.build(n, **p)
-
-    raaimt = secure_raaimt(hcnt)
-    factories["SHADOW+filter"] = lambda: FilteredRfm(
-        factories["SHADOW"](), hazard_threshold=max(8, raaimt // 4))
-    return factories
+#: Per-row columns: (metric, output key, point params).
+_COLUMNS = (
+    ("ws-relative", "relative_performance", {}),
+    ("shared-count", "rfms", {"stat": "rfms"}),
+    ("shared-count", "rfms_filtered", {"stat": "mitigation.rfm-filtered"}),
+)
 
 
-def run(fidelity: str = "smoke", hcnt: int = DEFAULT_HCNT) -> Dict:
-    """Run the all-schemes comparison; returns the result dict."""
+def matrix_schemes() -> List[str]:
+    """Every scheme with a row, in registry order: each one the registry
+    can build from ``hcnt`` alone (the CLI criterion)."""
+    return [name for name in SCHEMES.names()
+            if name not in _SKIP and SCHEMES.accepts(name, "hcnt")]
+
+
+def spec(fidelity: str = "smoke",
+         hcnt: int = DEFAULT_HCNT) -> ExperimentSpec:
+    """The comparison as data: three points per scheme row."""
     fc = fidelity_config(fidelity)
-    runner = ExperimentRunner(config=fc.system_config())
-    profiles = mix_blend(fc.threads)
-    rows: Dict[str, Dict[str, float]] = {}
-    for name, factory in scheme_factories(hcnt).items():
-        instance = factory()
-        rel = runner.relative_performance(profiles, factory)
-        shared = runner.run_shared(profiles, lambda: instance)
-        rows[name] = {
-            "relative_performance": rel,
-            "rfms": shared.rfms,
-            "rfms_filtered": getattr(instance, "rfms_filtered", 0),
-        }
-    return {"experiment": "extended", "fidelity": fidelity,
-            "hcnt": hcnt, "schemes": rows}
+    sim = fc.sim_spec()
+    workload = workload_spec("mix-blend", threads=fc.threads)
+    rows = {_DISPLAY.get(name, name): scheme_spec(
+                name, **SCHEMES.buildable_params(name, {"hcnt": hcnt}))
+            for name in matrix_schemes()}
+    rows["SHADOW+filter"] = scheme_spec("filtered", inner="shadow",
+                                        hcnt=hcnt)
+    points = [PointSpec(metric, ("schemes", label, key), workload=workload,
+                        scheme=scheme, sim=sim, params=params)
+              for label, scheme in rows.items()
+              for metric, key, params in _COLUMNS]
+    return ExperimentSpec("extended", fidelity, points, meta={"hcnt": hcnt})
+
+
+def run(fidelity: str = "smoke", jobs: int = 1,
+        engine: Optional[Engine] = None, hcnt: int = DEFAULT_HCNT) -> Dict:
+    """Run the all-schemes comparison; returns the result dict."""
+    return run_spec(spec(fidelity, hcnt), engine=engine, jobs=jobs)
 
 
 def main() -> None:
     """Console entry point: print the comparison table."""
-    import sys
-    fidelity = sys.argv[1] if len(sys.argv) > 1 else "full"
-    results = run(fidelity)
-    table = [[name, vals["relative_performance"], vals["rfms"],
-              vals["rfms_filtered"]]
-             for name, vals in results["schemes"].items()]
-    print(format_table(
-        ["scheme", "rel. perf", "RFMs", "RFMs filtered"], table,
-        title=f"Extended comparison on mix-blend "
-              f"(Hcnt={results['hcnt']}, {fidelity})"))
-    print("saved:", save_results(f"extended_{fidelity}", results))
+    args = driver_arg_parser("extended").parse_args()
+    engine = engine_from_args(args)
+    results = run(args.fidelity, jobs=args.jobs, engine=engine)
+    if not report_failures(engine):
+        table = [[name, vals["relative_performance"], vals["rfms"],
+                  vals["rfms_filtered"]]
+                 for name, vals in results["schemes"].items()]
+        print(format_table(
+            ["scheme", "rel. perf", "RFMs", "RFMs filtered"], table,
+            title=f"Extended comparison on mix-blend "
+                  f"(Hcnt={results['hcnt']}, {args.fidelity})"))
+    print("engine:", engine.stats.summary())
+    print("saved:", save_results(f"extended_{args.fidelity}", results))
+    if engine.failures:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

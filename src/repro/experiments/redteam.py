@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.engine import Engine, Job, JobResult
-from repro.experiments.matrix import matrix_schemes
+from repro.experiments.extended import matrix_schemes
 from repro.experiments.report import (
     driver_arg_parser,
     engine_from_args,

@@ -124,6 +124,18 @@ def _make_mint(hcnt: int, radius: int = 1) -> Mint:
 def _make_dapper(hcnt: int, radius: int = 1) -> Dapper:
     return Dapper.for_hcnt(hcnt, radius)
 
+
+@_SCHEMES.register("filtered")
+def _make_filtered(inner: str, hcnt: int) -> FilteredRfm:
+    """The Section VIII hazard filter in front of registered scheme
+    ``inner``, at a quarter of the secure RAAIMT (never below 8).
+    ``inner`` has no default, so hcnt-only sweeps skip this entry."""
+    from repro.core.config import secure_raaimt
+    wrapped = _SCHEMES.build(
+        inner, **_SCHEMES.buildable_params(inner, {"hcnt": hcnt}))
+    return FilteredRfm(wrapped,
+                       hazard_threshold=max(8, secure_raaimt(hcnt) // 4))
+
 __all__ = [
     "ActOutcome",
     "ActionPolicy",

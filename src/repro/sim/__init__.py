@@ -1,10 +1,11 @@
 """Full-system simulation harness.
 
 Glues cores (:mod:`repro.sim.core_model`) to the memory controller,
-DRAM device, mitigation and fault model (:mod:`repro.sim.system`);
-computes the paper's metrics (:mod:`repro.sim.metrics`); and provides
-the experiment runner with alone-run caching for weighted speedup
-(:mod:`repro.sim.runner`).
+DRAM device, mitigation and fault model (:mod:`repro.sim.system`) and
+computes the paper's metrics (:mod:`repro.sim.metrics`).  Experiments
+that compare schemes run through :func:`repro.experiments.run_spec` and
+the :class:`~repro.experiments.Engine`, which plan, deduplicate and
+cache the alone and shared runs weighted speedup needs.
 """
 
 from repro.sim.core_model import ThreadState
@@ -13,12 +14,9 @@ from repro.sim.metrics import (
     throughput,
     weighted_speedup,
 )
-from repro.sim.runner import ExperimentRunner, RunResult
 from repro.sim.system import System, SystemConfig
 
 __all__ = [
-    "ExperimentRunner",
-    "RunResult",
     "System",
     "SystemConfig",
     "ThreadState",

@@ -20,7 +20,6 @@ from repro.experiments.engine import (
     JobFailure,
     JobResult,
     SchemeSpec,
-    WsRelativePlan,
     _execute,
     alone_job,
     archsim_scheme_specs,
@@ -30,10 +29,15 @@ from repro.experiments.engine import (
 )
 from repro.dram.device import DramGeometry
 from repro.dram.subarray import SubarrayLayout
-from repro.mitigations import NoMitigation
-from repro.sim import ExperimentRunner, SystemConfig
+from repro.experiments.driver import run_spec
+from repro.mitigations import DoubleRefreshRate, NoMitigation
+from repro.sim import System, SystemConfig
+from repro.sim.metrics import relative_weighted_speedup
+from repro.spec import (
+    ExperimentSpec, PointSpec, SimSpec, workload_spec,
+)
 from repro.utils.cache import ResultCache, canonical_json, spec_digest
-from repro.workloads import SPEC_PROFILES, mix_high
+from repro.workloads import SPEC_PROFILES
 
 SMALL_GEO = DramGeometry(
     channels=2, ranks_per_channel=1, banks_per_rank=4,
@@ -303,32 +307,41 @@ class TestEngine:
         assert restored.cycles == 10
 
 
-class TestWsRelativePlan:
-    def test_matches_experiment_runner(self, tmp_path):
-        """The engine path reproduces the serial runner's ratios."""
-        config = small_config()
-        profiles = mix_high(2)
-        spec = scheme_spec("drr")
-        plan = WsRelativePlan(config)
-        plan.add("drr", profiles, spec)
-        results = Engine(cache_dir=str(tmp_path)).run(plan.jobs)
-        engine_value = plan.value("drr", results)
-        runner = ExperimentRunner(config=config)
-        from repro.mitigations import DoubleRefreshRate
-        serial_value = runner.relative_performance(
-            profiles, DoubleRefreshRate)
-        assert engine_value == pytest.approx(serial_value, rel=0, abs=0)
+class TestWsRelativeMetric:
+    """The ``ws-relative`` driver metric, the one WS(scheme)/WS(baseline)
+    implementation behind Figures 8-11 and the extended comparison."""
 
-    def test_baseline_jobs_shared_between_labels(self):
-        config = small_config()
-        profiles = mix_high(2)
-        plan = WsRelativePlan(config)
-        plan.add("a", profiles, scheme_spec("drr"))
-        plan.add("b", profiles, scheme_spec("shadow", hcnt=4096))
+    SIM = SimSpec(requests=120, seed=7)
+    WORKLOAD = workload_spec("mix-high", threads=2)
+
+    def _spec(self, *schemes):
+        return ExperimentSpec("ws", "smoke", [
+            PointSpec("ws-relative", (scheme.kind,), workload=self.WORKLOAD,
+                      scheme=scheme, sim=self.SIM)
+            for scheme in schemes])
+
+    def test_matches_direct_system_runs(self):
+        """An independent oracle: the same ratio from plain System runs."""
+        value = run_spec(self._spec(scheme_spec("drr")),
+                         engine=Engine(use_cache=False))["drr"]
+        config = self.SIM.to_system_config()
+        profiles = list(self.WORKLOAD.build())
+        alone = [System([p], NoMitigation(), config=config).run()
+                 .thread_finish_cycles[0] for p in profiles]
+        scheme = System(profiles, DoubleRefreshRate(), config=config).run()
+        base = System(profiles, NoMitigation(), config=config).run()
+        assert value == relative_weighted_speedup(
+            alone, scheme.thread_finish_cycles, base.thread_finish_cycles)
+
+    def test_baseline_jobs_shared_between_schemes(self):
+        engine = Engine(use_cache=False)
+        run_spec(self._spec(scheme_spec("drr"),
+                            scheme_spec("shadow", hcnt=4096)), engine=engine)
         # alone runs + shared baseline are shared; only the scheme
         # shared runs differ.
-        distinct_profiles = len(set(profiles))
-        assert len(plan.jobs) == distinct_profiles + 1 + 2
+        distinct_profiles = len(set(self.WORKLOAD.build()))
+        assert engine.stats.unique == distinct_profiles + 1 + 2
+        assert engine.stats.executed == engine.stats.unique
 
 
 class TestFig8OnEngine:
@@ -616,37 +629,6 @@ class TestEnvFaultInjection:
                         BASELINE, small_config())
         results = Engine(jobs=1, cache_dir=str(tmp_path)).run([job])
         assert results[job].requests_issued == 120
-
-
-class TestRunnerBugfixes:
-    def test_run_alone_does_not_rebuild_probe(self):
-        """Resolving the cache key must not construct mitigations."""
-        built = []
-
-        def factory():
-            built.append(1)
-            return NoMitigation()
-
-        runner = ExperimentRunner(config=small_config())
-        p = SPEC_PROFILES["xz"]
-        runner.run_alone(p, factory)
-        # One probe (name resolution) + one simulated instance.
-        assert len(built) == 2
-        runner.run_alone(p, factory)                   # cache hit
-        assert len(built) == 2
-        runner.run_alone(SPEC_PROFILES["gcc"], factory)  # new profile
-        assert len(built) == 3
-
-    def test_run_alone_uses_persistent_cache(self, tmp_path):
-        config = small_config()
-        p = SPEC_PROFILES["xz"]
-        first = ExperimentRunner(config=config,
-                                 cache=ResultCache(str(tmp_path)))
-        cycles = first.run_alone(p, NoMitigation)
-        fresh = ExperimentRunner(config=config,
-                                 cache=ResultCache(str(tmp_path)))
-        assert fresh.run_alone(p, NoMitigation) == cycles
-        assert fresh.cache.hits == 1
 
 
 class TestConfigsBugfix:

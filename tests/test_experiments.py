@@ -5,17 +5,17 @@ import os
 
 import pytest
 
-from repro.experiments import fidelity_config
-from repro.experiments import table2, table3
-from repro.experiments.report import format_table, save_results, scientific
-from repro.experiments.schemes import (
-    archsim_scheme_factories,
-    make_shadow,
-    make_shadow_with_trcd,
-    rfm_scheme_factories,
+from repro.core.config import secure_raaimt
+from repro.core.factories import make_shadow, make_shadow_with_trcd
+from repro.experiments import (
+    extended, fidelity_config, redteam, table2, table3,
 )
+from repro.experiments.engine import archsim_scheme_specs, rfm_scheme_specs
+from repro.experiments.report import format_table, save_results, scientific
 from repro.dram.device import DramGeometry
 from repro.dram.timing import DDR4_2666
+from repro.mitigations import FilteredRfm
+from repro.spec.registry import SCHEMES
 
 
 class TestReportHelpers:
@@ -79,14 +79,14 @@ class TestFidelity:
 
 class TestSchemeFactories:
     def test_rfm_set_complete(self):
-        factories = rfm_scheme_factories(4096)
-        assert set(factories) == {"SHADOW", "PARFM", "Mithril-perf",
-                                  "Mithril-area", "DRR"}
-        # Fresh instances each call.
-        assert factories["SHADOW"]() is not factories["SHADOW"]()
+        specs = rfm_scheme_specs(4096)
+        assert set(specs) == {"SHADOW", "PARFM", "Mithril-perf",
+                              "Mithril-area", "DRR"}
+        # Fresh instances each build.
+        assert specs["SHADOW"].build() is not specs["SHADOW"].build()
 
     def test_archsim_set_complete(self):
-        assert set(archsim_scheme_factories(4096)) == \
+        assert set(archsim_scheme_specs(4096)) == \
             {"SHADOW", "BlockHammer", "RRS"}
 
     def test_shadow_trcd_override(self):
@@ -105,6 +105,31 @@ class TestSchemeFactories:
 
     def test_make_shadow_uses_secure_raaimt(self):
         assert make_shadow(2048).config.raaimt == 32
+
+
+class TestSchemeSet:
+    """The ``filtered`` composite stays out of every hcnt-only sweep."""
+
+    def test_filtered_registered_but_not_swept(self):
+        from repro.cli import cli_scheme_names
+        assert "filtered" in SCHEMES.names()
+        assert "filtered" not in extended.matrix_schemes()
+        assert "filtered" not in redteam.redteam_schemes("full")
+        assert "filtered" not in cli_scheme_names()
+
+    def test_filtered_matches_hand_built_wrapper(self):
+        built = SCHEMES.build("filtered", inner="shadow", hcnt=4096)
+        hand = FilteredRfm(make_shadow(4096),
+                           hazard_threshold=max(8, secure_raaimt(4096) // 4))
+        assert built.name == hand.name
+        assert built.hazard_threshold == hand.hazard_threshold
+
+    def test_extended_rows(self):
+        rows = {point.group[1] for point in extended.spec("smoke").points}
+        labels = {extended._DISPLAY.get(name, name)
+                  for name in extended.matrix_schemes()}
+        assert len(labels) == len(extended.matrix_schemes())
+        assert rows == labels | {"SHADOW+filter"}
 
 
 class TestAnalyticDrivers:

@@ -1,4 +1,4 @@
-"""Core model, system loop, metrics, and runner."""
+"""Core model, system loop, metrics, and the experiment path."""
 
 import pytest
 
@@ -7,9 +7,12 @@ from repro.controller.request import MemoryRequest
 from repro.core import Shadow, ShadowConfig
 from repro.dram.device import DramGeometry
 from repro.dram.subarray import SubarrayLayout
-from repro.mitigations import DoubleRefreshRate, NoMitigation
+from repro.mitigations import DoubleRefreshRate
+from repro.experiments.driver import run_spec
+from repro.experiments.engine import (
+    BASELINE, Engine, alone_job, shared_job,
+)
 from repro.sim import (
-    ExperimentRunner,
     System,
     SystemConfig,
     normalized_performance,
@@ -18,6 +21,9 @@ from repro.sim import (
 )
 from repro.sim.core_model import ThreadState
 from repro.sim.metrics import relative_weighted_speedup
+from repro.spec import (
+    ExperimentSpec, PointSpec, SimSpec, scheme_spec, workload_spec,
+)
 from repro.workloads import SPEC_PROFILES
 
 SMALL_GEO = DramGeometry(
@@ -203,31 +209,33 @@ class TestMetrics:
 
 
 class TestRunner:
-    def test_alone_cache_hits(self):
-        runner = ExperimentRunner(config=small_config())
-        p = SPEC_PROFILES["xz"]
-        a = runner.run_alone(p, NoMitigation)
-        b = runner.run_alone(p, NoMitigation)
-        assert a == b
-        assert len(runner._alone_cache) == 1
+    """Sanity checks on the experiment path (``run_spec`` / ``Engine``)."""
+
+    def _point(self, metric, workload, scheme):
+        point = PointSpec(metric, ("value",), workload=workload,
+                          scheme=scheme, sim=SimSpec(requests=120, seed=7))
+        return run_spec(ExperimentSpec("sanity", "smoke", [point]),
+                        engine=Engine(use_cache=False))["value"]
 
     def test_run_result_weighted_speedup(self):
-        runner = ExperimentRunner(config=small_config())
-        result = runner.run([SPEC_PROFILES["xz"], SPEC_PROFILES["gcc"]])
+        config = small_config()
+        profiles = [SPEC_PROFILES["xz"], SPEC_PROFILES["gcc"]]
+        alone = [alone_job(p, BASELINE, config) for p in profiles]
+        shared = shared_job(profiles, BASELINE, config)
+        results = Engine(use_cache=False).run(alone + [shared])
+        ws = weighted_speedup(
+            [results[j].thread_finish_cycles[0] for j in alone],
+            results[shared].thread_finish_cycles)
         # Shared execution is never faster than running alone.
-        assert result.weighted_speedup <= 2.0 + 1e-9
-        assert result.weighted_speedup > 0.5
+        assert 0.5 < ws <= 2.0 + 1e-9
 
     def test_relative_performance_close_to_one_for_noop(self):
-        runner = ExperimentRunner(config=small_config())
-        rel = runner.relative_performance(
-            [SPEC_PROFILES["xz"]], NoMitigation, NoMitigation)
-        assert rel == pytest.approx(1.0)
+        rel = self._point("ws-relative", workload_spec("spec", app="xz"),
+                          scheme_spec("none"))
+        assert rel == 1.0
 
     def test_single_thread_relative(self):
-        runner = ExperimentRunner(config=small_config())
-        rel = runner.single_thread_relative(
-            SPEC_PROFILES["gcc"],
-            lambda: Shadow(ShadowConfig(raaimt=32, rng_kind="system")))
+        rel = self._point("st-relative", workload_spec("spec", app="gcc"),
+                          scheme_spec("shadow-raw", raaimt=32))
         # SHADOW costs a little but never approaches DRR-level overhead.
         assert 0.9 < rel <= 1.001
