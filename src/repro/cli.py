@@ -135,6 +135,7 @@ def cmd_stats(args) -> int:
           f"rfms={s['rfms']}")
     print(f"candidate cache: {cache['hits']}/{cache['evals']} hits "
           f"({cache['hit_rate']:.2%}), {cache['recomputes']} recomputes, "
+          f"{cache['pruned']} pruned, "
           f"{cache['translation_invalidations']} translation "
           f"invalidations, {cache['reindexes']} reindexes")
     print(f"raa: {s['raa_crossings']} threshold crossings", end="")

@@ -68,6 +68,11 @@ _OP_COL = 2
 _OP_REF = 3
 _OP_RFM = 4
 
+#: Pruning bound of a scan with no best candidate yet (or of a
+#: throttler's scan): an int beyond any reachable cycle, so the hot
+#: comparison stays int-to-int.
+_NO_BOUND = 1 << 62
+
 
 @dataclass
 class McConfig:
@@ -247,12 +252,13 @@ class MemoryController:
         # Scheduler-health counters.  The rare-path ones (recomputes,
         # invalidations, reindexes, RAA crossings) are plain ints
         # maintained unconditionally, like ``enqueued``/``retired``; the
-        # per-scan ones (evals/hits) are only accumulated when metrics
-        # are enabled, so the candidate reduce loop pays at most one
-        # pre-hoisted bool check per bank when observability is off.
+        # per-scan ones (evals/hits/pruned) are only accumulated when
+        # metrics are enabled, so the candidate reduce loop pays at most
+        # one pre-hoisted bool check per bank when observability is off.
         self.cand_evals = 0
         self.cand_hits = 0
         self.cand_recomputes = 0
+        self.cand_pruned = 0
         self.translation_invalidations = 0
         self.reindexes = 0
         self.raa_crossings = 0
@@ -395,10 +401,10 @@ class MemoryController:
             best = best_candidate(channel, until)
         while True:
             if best is None:
-                # A None scan means no due REF either, so the channel's
-                # next obligation is exactly the refresh horizon the
-                # scan just recorded (``_idle_wake`` recomputes the
-                # same value; kept as the documented spec).
+                # A None scan means no due REF either (a due tracker
+                # always yields a PRE or REF candidate), so the
+                # channel's next obligation is exactly the refresh
+                # horizon the scan just recorded.
                 return completions, self._scan_horizon[channel]
             earliest = best[0]
             if earliest > until:
@@ -540,6 +546,14 @@ class MemoryController:
             # carries no counting instructions at all.
             skipped = 0
             pre_recomputes = self.cand_recomputes if count else 0
+            # Lower-bound pruning: every shared constraint below is a
+            # monotone max on the cached bank-local earliest, so a bank
+            # whose cached earliest already exceeds the best earliest can
+            # neither win nor tie.  Throttlers see every before_activate
+            # probe, so for them the bound stays infinite.
+            pruned = 0
+            prune = not throttles
+            bound = best_e if prune and have_best else _NO_BOUND
             for ctx in active:
                 if not ctx.pending:
                     removals = True
@@ -555,6 +569,9 @@ class MemoryController:
                     continue
                 cand = self._recompute(ctx) if ctx.dirty else ctx.cand
                 e, prio, age, op, payload, lead = cand
+                if e > bound:
+                    pruned += 1
+                    continue
                 # The rank spacing checks below are
                 # RankTiming.earliest_act / .earliest_column inlined --
                 # this loop runs once per active bank per scheduling
@@ -602,9 +619,12 @@ class MemoryController:
                     have_best = True
                     best_e, best_p, best_a = e, prio, age
                     best_op, best_target, best_payload = op, ctx, payload
+                    if prune:
+                        bound = e
             if count:
                 evals = len(active) - skipped
                 self.cand_evals += evals
+                self.cand_pruned += pruned
                 self.cand_hits += \
                     evals - (self.cand_recomputes - pre_recomputes)
             if removals:
@@ -935,23 +955,3 @@ class MemoryController:
             for src, dst in outcome.copies:
                 self.observer.on_row_copy(addr, src, dst, cycle)
         return None
-
-    # -- idle bookkeeping ---------------------------------------------------------------
-
-    def _idle_wake(self, channel: int, until: int) -> Optional[int]:
-        """Next obligation on an otherwise idle channel.
-
-        A tracker whose horizon has already passed (``next_due <=
-        until``) normally produced a refresh candidate this drain; if it
-        did not (defensively: a future scheduling path that suppresses
-        the REF), report a wake immediately after ``until`` rather than
-        dropping the obligation -- a due refresh must never starve.
-        """
-        wake = None
-        for _rank_index, tracker in self._chan_refresh[channel]:
-            due = tracker.next_due
-            if due <= until:
-                due = until + 1
-            if wake is None or due < wake:
-                wake = due
-        return wake

@@ -118,6 +118,7 @@ def collect_summary(system, result=None) -> Dict:
             "evals": evals,
             "hits": mc.cand_hits,
             "recomputes": mc.cand_recomputes,
+            "pruned": mc.cand_pruned,
             "hit_rate": (mc.cand_hits / evals) if evals else 0.0,
             "translation_invalidations": mc.translation_invalidations,
             "reindexes": mc.reindexes,

@@ -16,13 +16,15 @@ ratio.
 
 from __future__ import annotations
 
+import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.controller.address import AddressMapping, MemoryLocation
-from repro.utils.rng import SystemRng
 
 
 @dataclass(frozen=True)
@@ -100,30 +102,9 @@ class TraceGenerator:
     #: row-tracking defenses (RRS, BlockHammer, Graphene) respond to.
     PAGES_PER_CLUSTER = 8
 
-    def _page_location(self, page: int, line: int) -> MemoryLocation:
-        """The ``line``-th cache line of ``page`` (one channel pass)."""
-        geometry = self.mapping.geometry
-        channel = line % self._channels
-        column = (line // self._channels) % self._columns
-        cluster, sub = divmod(page, self.PAGES_PER_CLUSTER)
-        bank = cluster % geometry.banks_per_rank
-        rank = (cluster // geometry.banks_per_rank) \
-            % geometry.ranks_per_channel
-        row_base = cluster // (geometry.banks_per_rank
-                               * geometry.ranks_per_channel)
-        row = row_base * self.PAGES_PER_CLUSTER + sub
-        return MemoryLocation(channel, rank, bank,
-                              row % geometry.rows_per_bank, column)
-
-    def _thread_page(self, index: int) -> int:
-        """Map a footprint index to a global page, thread-offset so the
-        threads of a mix touch (mostly) disjoint memory."""
-        base = (self.thread_id * 7919) % self._pages_total
-        return (base + index) % self._pages_total
-
     # -- Zipfian page popularity ------------------------------------------------------
 
-    def _zipf_cdf(self):
+    def _zipf_cdf(self) -> Optional[List[float]]:
         """Cumulative popularity over footprint pages (None if uniform)."""
         profile = self.profile
         if profile.zipf_alpha <= 0 or profile.sequential:
@@ -132,12 +113,7 @@ class TraceGenerator:
         weights = ranks ** -profile.zipf_alpha
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
-        return cdf
-
-    @staticmethod
-    def _zipf_pick(cdf, rng) -> int:
-        u = rng.next_bits(24) / float(1 << 24)
-        return int(np.searchsorted(cdf, u, side="right"))
+        return cdf.tolist()
 
     # -- the stream -------------------------------------------------------------------
 
@@ -155,13 +131,12 @@ class TraceGenerator:
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        stream = self.requests()
+        stream = islice(self.requests(), count)
         if tck_ns is None:
-            return [next(stream) for _ in range(count)]
+            return list(stream)
         ops = []
         append = ops.append
-        for _ in range(count):
-            gap_ns, location, is_write = next(stream)
+        for gap_ns, location, is_write in stream:
             gap = int(gap_ns / tck_ns)
             append((gap if gap > 1 else 1, location, is_write))
         return ops
@@ -169,23 +144,29 @@ class TraceGenerator:
     def requests(self) -> Iterator[Tuple[float, MemoryLocation, bool]]:
         """Yield ``(gap_ns, location, is_write)`` forever."""
         profile = self.profile
-        rng = SystemRng(self.seed * 1_000_003 + self.thread_id)
-        zipf_cdf = self._zipf_cdf()
-        # Hot-loop hoists (this generator feeds every simulated request;
-        # the draws and float math are unchanged, only the per-item
-        # attribute lookups are lifted out).
-        next_bits = rng.next_bits
+        # The same stream SystemRng wraps, drawn directly: next_bits(w)
+        # is getrandbits(w) and randrange(n) is random.randrange(n).
+        rng = random.Random(self.seed * 1_000_003 + self.thread_id)
+        getrandbits = rng.getrandbits
         randrange = rng.randrange
+        zipf_cdf = self._zipf_cdf()
         sequential = profile.sequential
         footprint = profile.footprint_pages
         locality = profile.row_buffer_locality
         write_fraction = profile.write_fraction
         gap_scale = (1000.0 / profile.mpki) * self._gap_ns_per_instr
-        thread_page = self._thread_page
-        page_location = self._page_location
-        zipf_pick = self._zipf_pick
+        geometry = self.mapping.geometry
+        banks = geometry.banks_per_rank
+        ranks = geometry.ranks_per_channel
+        rows = geometry.rows_per_bank
+        channels = self._channels
+        columns = self._columns
+        per_cluster = self.PAGES_PER_CLUSTER
+        pages_total = self._pages_total
+        # Footprint index -> global page, thread-offset so the threads
+        # of a mix touch (mostly) disjoint memory.
+        base = (self.thread_id * 7919) % pages_total
         page_index = 0
-        page = thread_page(0)
         line = 0
         lines_left = 0
         while True:
@@ -194,19 +175,29 @@ class TraceGenerator:
                 if sequential:
                     page_index = (page_index + 1) % footprint
                 elif zipf_cdf is not None:
-                    page_index = zipf_pick(zipf_cdf, rng)
+                    # Same index as np.searchsorted(cdf, u, "right").
+                    page_index = bisect_right(
+                        zipf_cdf, getrandbits(24) / 16777216.0)
                 else:
                     page_index = randrange(footprint)
-                page = thread_page(page_index)
+                # The page's (rank, bank, row); one page spans every
+                # channel and column.
+                cluster, sub = divmod((base + page_index) % pages_total,
+                                      per_cluster)
+                bank = cluster % banks
+                rank = (cluster // banks) % ranks
+                row = ((cluster // (banks * ranks)) * per_cluster
+                       + sub) % rows
                 line = 0
                 # Geometric with mean 1/(1-locality), via inverse CDF.
                 lines_left = 1
-                while next_bits(16) / 65536.0 < locality:
+                while getrandbits(16) / 65536.0 < locality:
                     lines_left += 1
-            location = page_location(page, line)
+            location = MemoryLocation(line % channels, rank, bank, row,
+                                      (line // channels) % columns)
             line += 1
             lines_left -= 1
-            is_write = next_bits(16) / 65536.0 < write_fraction
+            is_write = getrandbits(16) / 65536.0 < write_fraction
             # Gap: instructions to the next miss, +/-50% jitter.
-            jitter = 0.5 + next_bits(16) / 65536.0
+            jitter = 0.5 + getrandbits(16) / 65536.0
             yield gap_scale * jitter, location, is_write

@@ -1,9 +1,12 @@
 """Workload profiles, trace generation, and the paper's mixes."""
 
+import hashlib
+
 import pytest
 
 from repro.controller.address import AddressMapping
 from repro.dram.device import DramGeometry
+from repro.dram.timing import DDR4_2666
 from repro.workloads import (
     GAPBS_PROFILES,
     NPB_PROFILES,
@@ -132,6 +135,49 @@ class TestTraceGenerator:
         reqs = take(TraceGenerator(p, MAPPING, 0, seed=3), 1000)
         writes = sum(1 for _g, _l, w in reqs if w)
         assert 380 < writes < 620
+
+
+class TestStreamPin:
+    """Materialized streams are pinned draw for draw.
+
+    The digests were recorded from the original SystemRng-backed
+    generator.  They cover the nanosecond gaps (so a change too small to
+    survive the cycle conversion still fails) and the cycle-converted
+    stream the simulator consumes; any change to the order, width or use
+    of a random draw, or to the page-to-location arithmetic, fails here.
+    """
+
+    PROFILES = {
+        "uniform": WorkloadProfile(
+            "uniform", mpki=20, row_buffer_locality=0.6,
+            write_fraction=0.3, footprint_pages=4096),
+        "zipf": WorkloadProfile(
+            "zipf", mpki=35, row_buffer_locality=0.4, write_fraction=0.2,
+            footprint_pages=32768, zipf_alpha=1.1),
+        "sequential": WorkloadProfile(
+            "seq", mpki=40, row_buffer_locality=0.9, write_fraction=0.33,
+            footprint_pages=16384, sequential=True),
+    }
+    DIGESTS = {
+        "uniform": "6acd479c405e923b389a111120b82b20"
+                   "86d02b62c11095d14b8e7abeb5cda13a",
+        "zipf": "e97904e1e74290d1b23d36eac01406ae"
+                "5ae72e35c78d3a486e1251f67dd04fab",
+        "sequential": "9e744d02cccd29ee611ee5b44ae006b1"
+                      "76183fd5924fe964dba7afdbf2a9be42",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PROFILES))
+    def test_materialized_stream_digest(self, kind):
+        gen = TraceGenerator(self.PROFILES[kind], MAPPING, thread_id=3,
+                             seed=11)
+        flat = [(gap_ns, gap, loc.channel, loc.rank, loc.bank, loc.row,
+                 loc.column, is_write)
+                for (gap_ns, loc, is_write), (gap, _loc, _w) in zip(
+                    gen.materialize(3000),
+                    gen.materialize(3000, DDR4_2666.tck_ns))]
+        digest = hashlib.sha256(repr(flat).encode()).hexdigest()
+        assert digest == self.DIGESTS[kind]
 
 
 class TestMixes:
