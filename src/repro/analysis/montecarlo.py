@@ -16,6 +16,7 @@ from typing import Callable, Optional
 from repro.core.controller import ShadowBankController
 from repro.dram.device import BankAddress
 from repro.dram.subarray import SubarrayLayout
+from repro.mitigations.base import RfmOutcome
 from repro.rowhammer.model import DisturbanceModel, HammerConfig
 from repro.utils.rng import RandomSource, SystemRng
 
@@ -64,10 +65,9 @@ def simulate_attack(attacker, layout: SubarrayLayout, hcnt: int,
             break
         if shuffle:
             refreshed, copies = ctrl.run_rfm()
-            for row in refreshed:
-                model.on_row_refresh(_ADDR, row, cycle=interval)
-            for src, dst in copies:
-                model.on_row_copy(_ADDR, src, dst, cycle=interval)
+            model.on_rfm_outcome(
+                _ADDR, RfmOutcome(refreshed_rows=refreshed, copies=copies),
+                interval)
         ctrl.check_invariants()
 
     return MonteCarloResult(
@@ -94,8 +94,8 @@ def simulate_tracker_defense(attacker, layout: SubarrayLayout,
     RFM-hosted refreshes are applied to the same
     :class:`~repro.rowhammer.model.DisturbanceModel`.  Cycle time is
     abstracted to interval indices -- disturbance accounting only needs
-    ordering, not wall-clock -- and ``ref_every`` (in intervals)
-    emulates the tREFW boundary for ref-window-reset schemes.
+    ordering, not wall-clock -- and every ``ref_every`` intervals a
+    tREFW boundary refreshes every DA row and calls ``on_ref``.
 
     Two fidelity caveats follow from that abstraction: throttle-based
     schemes (BlockHammer) defend by *stretching wall-clock time* so
@@ -119,10 +119,7 @@ def simulate_tracker_defense(attacker, layout: SubarrayLayout,
     acts = acts_per_interval
     if acts is None:
         acts = mitigation.raaimt if mitigation.uses_rfm else 64
-
-    def _refresh(rows, cycle: int) -> None:
-        for row in rows:
-            model.on_row_refresh(_ADDR, row, cycle=cycle)
+    rows = layout.da_rows_per_bank
 
     first_flip = None
     for interval in range(intervals):
@@ -131,21 +128,16 @@ def simulate_tracker_defense(attacker, layout: SubarrayLayout,
             model.on_activate(_ADDR, da, cycle=interval)
             out = mitigation.on_activate(_ADDR, pa_row, da, interval)
             if out is not None:
-                _refresh(out.trr_rows, interval)
-                _refresh(out.restored_rows, interval)
+                model.on_act_outcome(_ADDR, out, interval)
         if model.flipped and first_flip is None:
             first_flip = interval
             break
         if mitigation.uses_rfm:
-            rfm = mitigation.on_rfm(_ADDR, interval)
-            _refresh(rfm.refreshed_rows, interval)
-            for src, dst in rfm.copies:
-                model.on_row_copy(_ADDR, src, dst, cycle=interval)
+            model.on_rfm_outcome(
+                _ADDR, mitigation.on_rfm(_ADDR, interval), interval)
         if ref_every and (interval + 1) % ref_every == 0:
-            model.on_refresh_range(_ADDR, 0, layout.mc_rows_per_bank - 1,
-                                   cycle=interval)
-            mitigation.on_ref(_ADDR, 0, layout.mc_rows_per_bank - 1,
-                              interval)
+            model.on_refresh_range(_ADDR, 0, rows, cycle=interval)
+            mitigation.on_ref(_ADDR, 0, rows, interval)
 
     return MonteCarloResult(
         flipped=model.flipped,

@@ -13,12 +13,14 @@ command granularity.  Scheduling policy:
   mitigation performs its in-DRAM work inside the tRFM window;
 * mitigation effects (extra ACT latency, throttling delays, TRR
   refreshes, channel-blocking swaps, PA-to-DA translation) are applied
-  exactly where the hardware would apply them.
+  exactly where the hardware would apply them, through the hooks the
+  mitigation declares in ``Mitigation.hooks`` (read once, here).
 
 The controller reports every row-touching action (ACT in DA space,
-refresh ranges, TRR refreshes, row copies) to an optional Row Hammer
-observer so security and performance experiments share one source of
-truth.
+refresh ranges, and each mitigation outcome's refreshes and row copies)
+to an optional Row Hammer observer, so security and performance
+experiments share one source of truth.  The timing side of an outcome
+(tRC penalties, channel blocks) stays here.
 
 Implementation note: this is the simulator's hottest code, and it is
 *incremental*.  Each :class:`_BankCtx` caches the bank-local part of its
@@ -79,9 +81,6 @@ class McConfig:
     """Controller policy knobs."""
 
     enable_refresh: bool = True
-    #: Count an RFM's internal work beyond tRFM (mitigations whose work
-    #: exceeds the provisioned window extend the blocking time).
-    strict_rfm_window: bool = False
 
 
 class _BankCtx:
@@ -148,27 +147,18 @@ class MemoryController:
         self._tFAW = device.timing.tFAW
         self._act_extra = mitigation.act_extra_cycles
         self._chans = device.channels
-        #: Only pay the per-candidate ``before_activate`` call when the
-        #: mitigation actually overrides it (the base hook is identity).
-        self._throttles = (type(mitigation).before_activate
-                           is not Mitigation.before_activate)
-        #: Skip the per-bank ``on_ref`` fan-out when the mitigation does
-        #: not override the base no-op hook.
-        self._observes_ref = (type(mitigation).on_ref
-                              is not Mitigation.on_ref)
-        #: Static schemes keep the factory PA-to-DA mapping and a
-        #: constant generation, so ``enqueue`` may serve translations
-        #: from a shared per-row cache instead of re-deriving the
-        #: identity layout arithmetic per request.
-        self._static_translate = (
-            type(mitigation).translate is Mitigation.translate
-            and type(mitigation).translation_generation
-            is Mitigation.translation_generation)
+        # Hook gates, read once from the declared set: each hot path
+        # tests one bool.
+        hooks = mitigation.hooks
+        self._throttles = "throttle" in hooks
+        self._observes_ref = "ref" in hooks
+        self._acts_hook = "act" in hooks
+        #: Schemes that do not remap keep the factory PA-to-DA mapping
+        #: and a constant generation, so ``enqueue`` may serve
+        #: translations from a shared per-row cache instead of
+        #: re-deriving the identity layout arithmetic per request.
+        self._static_translate = "remap" not in hooks
         self._ident_rows: Dict[int, int] = {}
-        #: Pay the per-ACT ``on_activate`` call (and outcome handling)
-        #: only when the mitigation overrides the base no-op.
-        self._acts_hook = (type(mitigation).on_activate
-                           is not Mitigation.on_activate)
         #: Same zero-overhead gate for the fault-injection observer: the
         #: per-ACT notification is a pre-bound method (or None), so runs
         #: without an observer pay one ``is not None`` test and nothing
@@ -826,14 +816,10 @@ class MemoryController:
                 if outcome.trr_rows:
                     bank.add_act_penalty(
                         self._timing.tRC * len(outcome.trr_rows))
-                    if self.observer is not None:
-                        for row in outcome.trr_rows:
-                            self.observer.on_row_refresh(addr, row, cycle)
                 if outcome.channel_block_cycles:
                     ctx.chan.block(cycle + 1, outcome.channel_block_cycles)
-                if outcome.restored_rows and self.observer is not None:
-                    for row in outcome.restored_rows:
-                        self.observer.on_row_refresh(addr, row, cycle)
+                if self.observer is not None:
+                    self.observer.on_act_outcome(addr, outcome, cycle)
         ctx.dirty = True
         return None
 
@@ -939,8 +925,6 @@ class MemoryController:
         chan.record_command(cycle)
         outcome = self.mitigation.on_rfm(addr, cycle)
         duration = self._timing.tRFM
-        if self.config.strict_rfm_window:
-            duration = max(duration, outcome.duration)
         ctx.bank.issue_rfm(cycle, duration)
         ctx.dirty = True
         self.raa.on_rfm(addr)
@@ -950,8 +934,5 @@ class MemoryController:
                                {"refreshed": len(outcome.refreshed_rows),
                                 "copies": len(outcome.copies)}))
         if self.observer is not None:
-            for row in outcome.refreshed_rows:
-                self.observer.on_row_refresh(addr, row, cycle)
-            for src, dst in outcome.copies:
-                self.observer.on_row_copy(addr, src, dst, cycle)
+            self.observer.on_rfm_outcome(addr, outcome, cycle)
         return None

@@ -23,6 +23,8 @@ from repro.utils.rng import make_rng
 class Shadow(Mitigation):
     """The SHADOW in-DRAM row-shuffle mitigation."""
 
+    hooks = frozenset({"act", "remap"})
+
     def __init__(self, config: Optional[ShadowConfig] = None):
         super().__init__()
         self.config = config or ShadowConfig()

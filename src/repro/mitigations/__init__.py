@@ -31,9 +31,7 @@ from repro.mitigations.blockhammer import BlockHammer, BlockHammerConfig
 from repro.mitigations.compose import (
     ActionPolicy,
     ComposedMitigation,
-    RefWindowResetMixin,
     Scope,
-    ThrottleMixin,
     Tracker,
     TrackerSpec,
 )
@@ -141,9 +139,7 @@ __all__ = [
     "ActionPolicy",
     "BlockHammer",
     "ComposedMitigation",
-    "RefWindowResetMixin",
     "Scope",
-    "ThrottleMixin",
     "Tracker",
     "TrackerSpec",
     "BlockHammerConfig",

@@ -7,34 +7,20 @@ Section III taxonomy allows:
 * request RFM commands (``uses_rfm`` / ``raaimt``) and perform in-DRAM
   work inside the tRFM window (``on_rfm`` -> :class:`RfmOutcome`);
 * refresh victim rows after an ACT (TRR: :class:`ActOutcome.trr_rows`);
-* delay an ACT before it issues (throttling: :class:`ActOutcome` via
-  ``before_activate``);
+* delay an ACT before it issues (throttling: ``before_activate``);
 * block a whole channel (RRS row swaps, reported via ``on_activate``
   returning a :class:`ActOutcome` with ``channel_block_cycles``);
 * change the auto-refresh rate (DRR: ``refresh_interval_scale``);
 * remap row addresses (SHADOW, RRS: ``translate``).
 
-The MC applies each effect on the correct resource, and reports all
-row-touching side effects to the Row Hammer fault model so that security
+The MC applies each effect on the correct resource and hands each
+outcome's row-touching side effects to the Row Hammer fault model (see
+the observer contract in :mod:`repro.rowhammer.model`), so security
 experiments observe exactly what the timing experiments charge for.
 
-Observer contract (what the fault model sees, in DA space):
-
-* every issued ACT -> ``observer.on_activate`` with the post-translate
-  DA row, so a remapping scheme's shuffled hot rows are charged where
-  the device actually activates them;
-* :attr:`ActOutcome.trr_rows`, :attr:`ActOutcome.restored_rows` and
-  :attr:`RfmOutcome.refreshed_rows` -> ``observer.on_row_refresh``
-  (targeted recharge: the row's accumulated disturbance resets);
-* :attr:`RfmOutcome.copies` -> ``observer.on_row_copy`` (disturbance
-  and any injected bit flips travel with the row's content);
-* each auto-refresh sweep segment -> ``observer.on_refresh_range``.
-
-With ``refresh_hammers_neighbors`` enabled in the fault model, targeted
-refreshes are themselves half-rate aggressors (the Half-Double lever),
-so a TRR scheme's own victim refreshes can disturb rows one further
-out.  Observers never return timing -- the injector is passive, and the
-bench gate asserts cycle-for-cycle equality with the observer detached.
+A scheme declares the controller hooks it needs in
+:attr:`Mitigation.hooks`; the controller reads that set once, at
+construction, and never calls an undeclared hook.
 """
 
 from __future__ import annotations
@@ -52,8 +38,8 @@ class RfmOutcome:
     """What a mitigation did during one RFM command.
 
     ``duration`` is the internal busy time in cycles; the MC blocks the
-    bank for ``max(duration, tRFM)`` as the JEDEC interface provisions a
-    fixed window.  ``refreshed_rows`` are DA rows recharged (TRR or
+    bank for tRFM regardless, the fixed window the JEDEC interface
+    provisions.  ``refreshed_rows`` are DA rows recharged (TRR or
     incremental refresh); ``copies`` are in-DRAM row copies (src, dst) in
     DA space.  Both feed the fault model.
     """
@@ -85,6 +71,14 @@ class Mitigation(abc.ABC):
     """Base class; the default implementation is a no-op scheme."""
 
     name = "base"
+    #: The hooks the controller drives, a subset of ``{"act", "ref",
+    #: "throttle", "remap"}``: ``"act"`` -> :meth:`on_activate` per ACT,
+    #: ``"ref"`` -> :meth:`on_ref` per bank per REF, ``"throttle"`` ->
+    #: :meth:`before_activate` per candidate ACT (no candidate memo or
+    #: prune), ``"remap"`` -> :meth:`translate` /
+    #: :meth:`translation_generation` instead of the cached identity
+    #: mapping.  ``uses_rfm`` alone gates :meth:`on_rfm`.
+    hooks: frozenset = frozenset()
 
     def __init__(self) -> None:
         self.geometry: Optional[DramGeometry] = None
@@ -140,8 +134,8 @@ class Mitigation(abc.ABC):
 
     def translation_generation(self, addr: BankAddress) -> int:
         """Monotonic counter bumped whenever this bank's PA-to-DA mapping
-        changes.  Static schemes return a constant so the controller can
-        cache translations per request."""
+        changes.  The controller reads it only for schemes declaring
+        ``"remap"``."""
         return 0
 
     # -- invalidation hooks -------------------------------------------------------

@@ -27,7 +27,6 @@ from repro.mitigations.compose import (
     ComposedMitigation,
     Scope,
     Throttle,
-    ThrottleMixin,
     TrackerSpec,
 )
 from repro.rowhammer.model import blast_weight_sum
@@ -75,7 +74,7 @@ class BlockHammerConfig:
                           / self.history_scale))
 
 
-class BlockHammer(ThrottleMixin, ComposedMitigation):
+class BlockHammer(ComposedMitigation):
     """D-CBF blacklisting + ACT throttling."""
 
     def __init__(self, config: BlockHammerConfig):

@@ -21,16 +21,14 @@ Adding a mitigation becomes one file: a tracker adapter (if the
 structure is new), a policy (if the action is new), and a class naming
 the composition -- see ``mint.py`` and ``dapper.py``.
 
-Hot-path discipline: the memory controller hoists per-scheme feature
-gates by checking ``type(m).hook is not Mitigation.hook`` (see
-``controller/mc.py``), and disables its candidate-reuse memo for
-throttling schemes.  The base class therefore only overrides
-``on_activate`` and ``on_rfm`` -- the hooks every composed scheme uses
--- while ``before_activate`` (:class:`ThrottleMixin`), ``on_ref``
-(:class:`RefWindowResetMixin`) and ``translate`` (scheme-defined, e.g.
-RRS) are opted into per scheme.  A composed scheme keeps exactly the
-gate profile of its hand-written predecessor, which is what pins the
-golden command streams byte-identical across the refactor.
+Hot-path discipline: the memory controller drives only the hooks a
+scheme declares in :attr:`~repro.mitigations.base.Mitigation.hooks`,
+and turns off its candidate memo and lower-bound prune for
+``"throttle"``.  A composed scheme derives its set from the triple: the
+policy's :attr:`ActionPolicy.hooks` (``{"act"}``, plus ``"throttle"``
+for :class:`Throttle`), ``"ref"`` when the scope resets per REF window,
+and any hooks the subclass declares itself (RRS adds ``"remap"`` for
+its own ``translate``).
 """
 
 from __future__ import annotations
@@ -318,8 +316,8 @@ class NullTracker(Tracker):
 
 #: Reset cadences a scope may declare.  ``"epoch"`` documents trackers
 #: that rotate internally on cycle stamps (D-CBF); the composition layer
-#: only drives ``"ref-window"`` (via :class:`RefWindowResetMixin`) and
-#: ``"rfm"`` (after each RFM's policy work).
+#: only drives ``"ref-window"`` (in :meth:`ComposedMitigation.on_ref`)
+#: and ``"rfm"`` (after each RFM's policy work).
 RESET_CADENCES = (None, "ref-window", "rfm", "epoch")
 
 _SCOPE_GRAINS = ("bank", "rank", "channel", "global")
@@ -379,6 +377,8 @@ class ActionPolicy(abc.ABC):
     """
 
     kind = "policy"
+    #: Controller hooks the policy needs (see ``Mitigation.hooks``).
+    hooks = frozenset({"act"})
 
     def bind(self, owner: "ComposedMitigation") -> None:
         """Resolve timing-derived parameters once the owner is bound."""
@@ -522,6 +522,7 @@ class Throttle(ActionPolicy):
     blacklist threshold.  Per-scope state is the last-ACT cycle map."""
 
     kind = "throttle"
+    hooks = frozenset({"act", "throttle"})
 
     def __init__(self, threshold: int, delay):
         self.threshold = threshold
@@ -580,8 +581,9 @@ class ComposedMitigation(Mitigation):
 
     Subclasses pass the triple up and keep only their public face
     (name, ``uses_rfm``/``raaimt`` properties, reporting attributes).
-    The glue owns per-scope state creation, the ``on_activate`` /
-    ``on_rfm`` plumbing, reset cadences, and tracker telemetry.
+    The glue owns per-scope state creation, the hook plumbing, reset
+    cadences, tracker telemetry and the :attr:`hooks` the triple needs;
+    a class-level ``hooks`` on the subclass adds to that set.
     """
 
     def __init__(self, tracker: TrackerSpec, policy: ActionPolicy,
@@ -590,12 +592,9 @@ class ComposedMitigation(Mitigation):
         self.tracker_spec = tracker
         self.policy = policy
         self.scope = scope
-        if (scope.reset == "ref-window"
-                and type(self).on_ref is Mitigation.on_ref):
-            raise TypeError(
-                f"{type(self).__name__}: reset='ref-window' requires "
-                f"RefWindowResetMixin (the MC only calls on_ref on "
-                f"schemes whose class overrides it)")
+        self.hooks = type(self).hooks | policy.hooks
+        if scope.reset == "ref-window":
+            self.hooks |= {"ref"}
         self._states: Dict[Hashable, _ScopeState] = {}
         self.trr_count = 0
         self.tracker_queries = 0
@@ -654,6 +653,11 @@ class ComposedMitigation(Mitigation):
 
     # -- hooks -----------------------------------------------------------------
 
+    def before_activate(self, addr: BankAddress, pa_row: int,
+                        cycle: int) -> int:
+        return self.policy.before_activate(self, self._state(addr), addr,
+                                           pa_row, cycle)
+
     def on_activate(self, addr: BankAddress, pa_row: int, da_row: int,
                     cycle: int) -> Optional[ActOutcome]:
         return self.policy.on_activate(self, self._state(addr), addr,
@@ -668,36 +672,18 @@ class ComposedMitigation(Mitigation):
             self._reset_tracker(state, addr, cycle)
         return outcome
 
-
-class RefWindowResetMixin:
-    """Opt-in ``reset="ref-window"`` cadence.
-
-    Defines ``on_ref`` (so the MC's ``_observes_ref`` gate opens for the
-    scheme) and resets each bank's tracker when the refresh sweep wraps
-    to row 0 -- clearing per-REF segment would be more precise but
-    strictly weaker for the attacker.  Resilient trackers decay instead
-    of clearing (their ``window_reset``)."""
-
     def on_ref(self, addr: BankAddress, lo_row: int, hi_row: int,
                cycle: int) -> None:
-        if lo_row == 0:
+        """The ``"ref-window"`` cadence: reset each bank's tracker when
+        the refresh sweep wraps to row 0.  Clearing per REF segment would
+        be more precise but strictly weaker for the attacker.  Resilient
+        trackers decay instead of clearing (their ``window_reset``).  A
+        no-op for every other cadence, so callers that drive ``on_ref``
+        on any scheme stay correct."""
+        if lo_row == 0 and self.scope.reset == "ref-window":
             state = self._peek_state(addr)
             if state is not None:
                 self._reset_tracker(state, addr, cycle)
-
-
-class ThrottleMixin:
-    """Opt-in ACT throttling.
-
-    Defines ``before_activate`` (so the MC's ``_throttles`` gate opens
-    and its candidate-reuse memo is disabled) and delegates to the
-    policy.  Only genuinely throttling schemes should carry that
-    scheduling cost, hence the opt-in."""
-
-    def before_activate(self, addr: BankAddress, pa_row: int,
-                        cycle: int) -> int:
-        return self.policy.before_activate(self, self._state(addr), addr,
-                                           pa_row, cycle)
 
 
 __all__ = [
@@ -712,13 +698,11 @@ __all__ = [
     "NullTracker",
     "ProbabilisticTrr",
     "RecentHistoryTracker",
-    "RefWindowResetMixin",
     "RfmTrrHottest",
     "RfmTrrSampled",
     "Scope",
     "ThresholdTrr",
     "Throttle",
-    "ThrottleMixin",
     "Tracker",
     "TrackerSpec",
 ]

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from repro.mitigations.compose import (
     ComposedMitigation,
-    RefWindowResetMixin,
     RfmTrrHottest,
     Scope,
     TrackerSpec,
@@ -58,7 +57,7 @@ def dapper_raaimt(hcnt: int, blast_radius: int = 1) -> int:
     return max(8, _blast_derate(base, blast_radius))
 
 
-class Dapper(RefWindowResetMixin, ComposedMitigation):
+class Dapper(ComposedMitigation):
     """Resilient Misra-Gries + RFM-hosted TRR on the provable hottest."""
 
     def __init__(self, raaimt: int, table_entries: int,

@@ -38,6 +38,9 @@ class FilteredRfm(Mitigation):
         if hazard_threshold <= 0:
             raise ValueError("hazard_threshold must be positive")
         self.inner = inner
+        # The filter observes every ACT; everything else is the inner
+        # scheme's, forwarded by the pass-throughs below.
+        self.hooks = inner.hooks | {"act"}
         self.hazard_threshold = hazard_threshold
         self.cbf_width = cbf_width
         self.cbf_depth = cbf_depth

@@ -20,7 +20,6 @@ from typing import Optional
 
 from repro.mitigations.compose import (
     ComposedMitigation,
-    RefWindowResetMixin,
     Scope,
     ThresholdTrr,
     TrackerSpec,
@@ -28,7 +27,7 @@ from repro.mitigations.compose import (
 from repro.rowhammer.model import blast_weight_sum
 
 
-class Graphene(RefWindowResetMixin, ComposedMitigation):
+class Graphene(ComposedMitigation):
     """MC-side Misra-Gries TRR."""
 
     def __init__(self, hcnt: int, blast_radius: int = 1,

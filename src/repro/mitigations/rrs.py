@@ -128,6 +128,9 @@ class RowSwapPolicy(ActionPolicy):
 class RandomizedRowSwap(ComposedMitigation):
     """Misra-Gries sampling + channel-blocking row swaps."""
 
+    # For translate() below; the composition adds the policy's "act".
+    hooks = frozenset({"remap"})
+
     def __init__(self, config: RrsConfig,
                  rng: Optional[RandomSource] = None):
         self.config = config

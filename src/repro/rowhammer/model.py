@@ -13,15 +13,39 @@ Threat model (paper Section II-D):
 The model lives entirely in DA (device address) space: what matters for
 charge disturbance is physical adjacency after any remapping, which is
 exactly the property SHADOW randomizes.
+
+Observer contract (what the memory controller reports, in DA space):
+
+* every issued ACT -> ``on_activate`` with the post-translate DA row,
+  so a remapping scheme's shuffled hot rows are charged where the
+  device actually activates them;
+* each ACT's mitigation outcome -> ``on_act_outcome``, which passes
+  ``ActOutcome.trr_rows`` and then ``ActOutcome.restored_rows`` to
+  ``on_row_refresh`` (targeted recharge: the row's accumulated
+  disturbance resets);
+* each RFM's mitigation outcome -> ``on_rfm_outcome``, which passes
+  ``RfmOutcome.refreshed_rows`` to ``on_row_refresh`` and then
+  ``RfmOutcome.copies`` to ``on_row_copy`` (disturbance and any
+  injected bit flips travel with the row's content);
+* each auto-refresh sweep segment -> ``on_refresh_range``.
+
+With ``refresh_hammers_neighbors`` enabled, targeted refreshes are
+themselves half-rate aggressors (the Half-Double lever), so a TRR
+scheme's own victim refreshes can disturb rows one further out.
+Observers never return timing -- the injector is passive, and the
+bench gate asserts cycle-for-cycle equality with the observer detached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.dram.device import BankAddress
 from repro.dram.subarray import SubarrayLayout
+
+if TYPE_CHECKING:
+    from repro.mitigations.base import ActOutcome, RfmOutcome
 
 
 def blast_weight(distance: int) -> float:
@@ -94,9 +118,9 @@ _CHARGES_CACHE: Dict[Tuple[SubarrayLayout, int],
 class DisturbanceModel:
     """Per-row weighted disturbance counters with reset semantics.
 
-    Implements the observer interface the memory controller calls:
-    ``on_activate``, ``on_refresh_range``, ``on_row_refresh``,
-    ``on_row_copy``.
+    Implements the observer interface the memory controller calls (see
+    the module docstring): ``on_activate``, ``on_refresh_range``,
+    ``on_act_outcome`` and ``on_rfm_outcome``.
     """
 
     def __init__(self, config: HammerConfig,
@@ -191,6 +215,24 @@ class DisturbanceModel:
         if bank:
             bank.pop(src, None)
             bank.pop(dst, None)
+
+    def on_act_outcome(self, addr: BankAddress, outcome: ActOutcome,
+                       cycle: int) -> None:
+        """Apply one ACT's mitigation outcome: TRR victim refreshes,
+        then the rows an RRS-style swap rewrote."""
+        for row in outcome.trr_rows:
+            self.on_row_refresh(addr, row, cycle)
+        for row in outcome.restored_rows:
+            self.on_row_refresh(addr, row, cycle)
+
+    def on_rfm_outcome(self, addr: BankAddress, outcome: RfmOutcome,
+                       cycle: int) -> None:
+        """Apply one RFM's mitigation outcome: refreshed rows, then
+        in-DRAM row copies."""
+        for row in outcome.refreshed_rows:
+            self.on_row_refresh(addr, row, cycle)
+        for src, dst in outcome.copies:
+            self.on_row_copy(addr, src, dst, cycle)
 
     # -- results --------------------------------------------------------------------
 

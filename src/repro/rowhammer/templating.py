@@ -28,6 +28,7 @@ from typing import List, Optional, Tuple
 from repro.core.controller import ShadowBankController
 from repro.dram.device import BankAddress
 from repro.dram.subarray import SubarrayLayout
+from repro.mitigations.base import RfmOutcome
 from repro.rowhammer.model import DisturbanceModel, HammerConfig
 from repro.utils.rng import RandomSource, SystemRng
 
@@ -106,10 +107,9 @@ class _Substrate:
             if self._acts_since_rfm >= self.raaimt:
                 self._acts_since_rfm = 0
                 refreshed, copies = self.shadow.run_rfm()
-                for row in refreshed:
-                    self.model.on_row_refresh(_ADDR, row, cycle=0)
-                for src, dst in copies:
-                    self.model.on_row_copy(_ADDR, src, dst, cycle=0)
+                self.model.on_rfm_outcome(
+                    _ADDR, RfmOutcome(refreshed_rows=refreshed,
+                                      copies=copies), 0)
 
     def hammer_round(self, aggressors: Tuple[int, int],
                      acts: int) -> List[int]:

@@ -18,6 +18,7 @@ from repro.dram.device import BankAddress, DramDevice, DramGeometry
 from repro.dram.subarray import SubarrayLayout
 from repro.dram.timing import DDR4_2666
 from repro.mitigations.base import Mitigation
+from repro.mitigations.filtered import FilteredRfm
 from repro.mitigations.none import NoMitigation
 from repro.obs import Observability
 from repro.sim import System, SystemConfig
@@ -181,6 +182,7 @@ class _RemapToggle(Mitigation):
     """Toy dynamic scheme: flips two rows' DA mapping on demand."""
 
     name = "remap-toggle"
+    hooks = frozenset({"remap"})
 
     def __init__(self, row_a, row_b):
         super().__init__()
@@ -275,3 +277,18 @@ class TestLowerBoundPruning:
             assert 0 < cache["pruned"] < cache["evals"]
         else:
             assert cache["pruned"] == 0
+
+    def test_filtered_rfm_keeps_the_fast_path(self):
+        # The hazard filter forwards a non-throttling inner scheme's
+        # hooks, so its scans keep the candidate memo and the prune.
+        gen = self.GEN
+        config = SystemConfig(geometry=gen.GEOMETRY, seed=gen.SEED,
+                              requests_per_thread=gen.REQUESTS_PER_THREAD)
+        obs = Observability(metrics=True)
+        system = System(list(gen.THREADS),
+                        FilteredRfm(gen.make_mitigation("parfm"),
+                                    hazard_threshold=8),
+                        config=config, obs=obs)
+        assert system.mc._cand_reuse
+        system.run()
+        assert obs.summary["candidate_cache"]["pruned"] > 0

@@ -20,6 +20,7 @@ from repro.mitigations import (
     mithril_perf,
 )
 from repro.mitigations.parfm import parfm_raaimt, shadow_raaimt
+from repro.spec.registry import SCHEMES
 from repro.utils.rng import SystemRng
 
 T = DDR4_2666
@@ -243,3 +244,62 @@ class TestRrs:
         das = {m.translate(ADDR, pa)
                for pa in range(GEOMETRY.rows_per_bank)}
         assert len(das) == GEOMETRY.rows_per_bank
+
+
+#: The controller hooks every scheme buildable from ``hcnt`` declares.
+HOOKS_BY_SCHEME = {
+    "blockhammer": {"act", "throttle"},
+    "dapper": {"act", "ref"},
+    "drr": set(),
+    "graphene": {"act", "ref"},
+    "mint": {"act"},
+    "mithril-area": {"act"},
+    "mithril-perf": {"act"},
+    "none": set(),
+    "para": {"act"},
+    "parfm": {"act"},
+    "rrs": {"act", "remap"},
+    "shadow": {"act", "remap"},
+    "shadow-ablate": {"act", "remap"},
+}
+
+
+def build_for_hcnt(name, hcnt=4096):
+    return SCHEMES.build(
+        name, **SCHEMES.buildable_params(name, {"hcnt": hcnt}))
+
+
+class TestDeclaredHooks:
+    def test_hooks_table(self):
+        names = [n for n in SCHEMES.names() if SCHEMES.accepts(n, "hcnt")]
+        table = {name: build_for_hcnt(name).hooks for name in names}
+        rfm_inners = [name for name in names if build_for_hcnt(name).uses_rfm]
+        assert {"shadow", "parfm", "mint", "mithril-perf", "dapper"} \
+            <= set(rfm_inners)
+        expected = dict(HOOKS_BY_SCHEME)
+        for inner in rfm_inners:
+            table[f"filtered({inner})"] = SCHEMES.build(
+                "filtered", inner=inner, hcnt=4096).hooks
+            expected[f"filtered({inner})"] = HOOKS_BY_SCHEME[inner] | {"act"}
+        assert table == expected
+
+    def test_on_ref_is_a_no_op_outside_the_ref_window_cadence(self):
+        # Interval drivers call on_ref on every scheme; Mithril resets
+        # per RFM, so a REF sweep must leave its table alone.
+        m = bind(Mithril(raaimt=8, table_entries=8))
+        for row in (20, 30, 40):
+            m.on_activate(ADDR, row, GEOMETRY.layout.identity_da(row), 0)
+        assert m.tracker_occupancy() == 3
+        m.on_ref(ADDR, 0, GEOMETRY.layout.da_rows_per_bank, 1)
+        assert m.tracker_occupancy() == 3
+        assert m.tracker_resets == 0
+
+    def test_on_ref_resets_a_ref_window_tracker_at_the_sweep_wrap(self):
+        m = bind(Graphene(hcnt=4096))
+        for row in (20, 30, 40):
+            m.on_activate(ADDR, row, GEOMETRY.layout.identity_da(row), 0)
+        m.on_ref(ADDR, 8, 16, 1)
+        assert m.tracker_occupancy() == 3
+        m.on_ref(ADDR, 0, 8, 2)
+        assert m.tracker_occupancy() == 0
+        assert m.tracker_resets == 1

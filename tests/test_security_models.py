@@ -114,6 +114,23 @@ class TestTrackerDefenseMonteCarlo:
         result = self._run("graphene", blast_radius=1, ref_every=20)
         assert not result.flipped
 
+    @pytest.mark.parametrize("pa_row", [10, 62])
+    def test_ref_boundary_sweeps_every_da_row(self, pa_row):
+        # PA 62 sits at DA 63 and disturbs DA rows up to 65: a REF
+        # window must recharge all 66 DA rows, as the controller's sweep
+        # does, not only the first 63.
+        class FixedRow:
+            def interval_rows(self, interval, acts):
+                return [pa_row] * acts
+
+        assert self.LAYOUT.mc_rows_per_bank == 64
+        assert self.LAYOUT.da_rows_per_bank == 66
+        result = simulate_tracker_defense(
+            FixedRow(), self.LAYOUT, SCHEMES.build("none"), hcnt=10_000,
+            intervals=4, ref_every=2)
+        assert not result.flipped
+        assert result.max_disturbance == 0.0
+
     def test_validation(self):
         mitigation = SCHEMES.build("none")
         attacker = ScenarioIAttacker(self.LAYOUT, 0, SystemRng(7))
