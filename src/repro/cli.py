@@ -111,6 +111,45 @@ def cmd_run(args) -> int:
     return 0
 
 
+def summary_lines(s) -> List[str]:
+    """Human-readable lines for an observability summary
+    (:func:`repro.obs.collect_summary`).  Blocks added after a summary
+    was cached (``drain``) are printed only when present."""
+    cache = s["candidate_cache"]
+    lines = [
+        f"row-hit rate: {s['row_hit_rate']:.2%} "
+        f"({s['row_hits']} hits / {s['row_misses']} misses / "
+        f"{s['row_conflicts']} conflicts)",
+        f"commands: acts={s['acts']} reads={s['reads']} "
+        f"writes={s['writes']} refreshes={s['refreshes']} "
+        f"rfms={s['rfms']}",
+        f"candidate cache: {cache['hits']}/{cache['evals']} hits "
+        f"({cache['hit_rate']:.2%}), {cache['recomputes']} recomputes, "
+        f"{cache['pruned']} pruned, "
+        f"{cache['translation_invalidations']} translation "
+        f"invalidations, {cache['reindexes']} reindexes",
+    ]
+    drain = s.get("drain")
+    if drain is not None:
+        lines.append(f"drains: {drain['calls']} calls, {drain['empty']} "
+                     f"issued nothing, {drain['lookaheads']} look-ahead "
+                     f"advances")
+    raa = f"raa: {s['raa_crossings']} threshold crossings"
+    if "raa" in s:
+        raa += (f", raaimt={s['raa']['raaimt']} "
+                f"rfms_issued={s['raa']['rfms_issued']} "
+                f"due_banks={s['raa']['due_banks']} "
+                f"max_count={s['raa']['max_count']}")
+    else:
+        raa += " (no RFM interface for this scheme)"
+    lines.append(raa)
+    for ch, entry in enumerate(s["channels"]):
+        lines.append(f"channel {ch}: commands={entry['commands']} "
+                     f"data_busy={entry['data_busy_cycles']} "
+                     f"blocked={entry['blocked_cycles']}")
+    return lines
+
+
 def cmd_stats(args) -> int:
     """Handle ``shadow-repro stats``: a run with full metrics on."""
     from repro.obs import Observability
@@ -124,32 +163,9 @@ def cmd_stats(args) -> int:
     result = System(profiles, mitigation, config=config, obs=obs).run()
     obs.close()
     s = obs.summary
-    cache = s["candidate_cache"]
     print(f"workload={args.workload} threads={args.threads} "
           f"scheme={result.mitigation_name} cycles={result.cycles}")
-    print(f"row-hit rate: {s['row_hit_rate']:.2%} "
-          f"({s['row_hits']} hits / {s['row_misses']} misses / "
-          f"{s['row_conflicts']} conflicts)")
-    print(f"commands: acts={s['acts']} reads={s['reads']} "
-          f"writes={s['writes']} refreshes={s['refreshes']} "
-          f"rfms={s['rfms']}")
-    print(f"candidate cache: {cache['hits']}/{cache['evals']} hits "
-          f"({cache['hit_rate']:.2%}), {cache['recomputes']} recomputes, "
-          f"{cache['pruned']} pruned, "
-          f"{cache['translation_invalidations']} translation "
-          f"invalidations, {cache['reindexes']} reindexes")
-    print(f"raa: {s['raa_crossings']} threshold crossings", end="")
-    if "raa" in s:
-        print(f", raaimt={s['raa']['raaimt']} "
-              f"rfms_issued={s['raa']['rfms_issued']} "
-              f"due_banks={s['raa']['due_banks']} "
-              f"max_count={s['raa']['max_count']}")
-    else:
-        print(" (no RFM interface for this scheme)")
-    for ch, entry in enumerate(s["channels"]):
-        print(f"channel {ch}: commands={entry['commands']} "
-              f"data_busy={entry['data_busy_cycles']} "
-              f"blocked={entry['blocked_cycles']}")
+    print("\n".join(summary_lines(s)))
     if args.sample_interval:
         print(f"snapshots: {s['snapshots']} "
               f"(every {args.sample_interval} cycles)")

@@ -52,6 +52,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.controller.request import MemoryRequest
 from repro.controller.rfm import RaaCounterBank
+from repro.dram.bank import Bank
 from repro.dram.commands import CommandType
 from repro.dram.device import BankAddress, DramDevice
 from repro.dram.rank import _FAR_PAST
@@ -90,11 +91,11 @@ class _BankCtx:
     ``(bank_earliest, prio, age, op, payload, data_lead)`` -- everything
     that only changes when this bank's own state changes.  ``dirty``
     forces a recompute; it is set by enqueue, by every command executed
-    on the bank (including rank-wide REF), and by translation-generation
-    bumps.  ``hit_index`` maps each DA row to the FIFO of queued
-    requests targeting it, valid for translation generation
-    ``index_gen``; retired requests leave the index eagerly and the
-    ``queue`` deque lazily.
+    on the bank (a rank-wide REF marks only the rank's active banks),
+    and by translation-generation bumps.  ``hit_index`` maps each DA row
+    to the FIFO of queued requests targeting it, valid for translation
+    generation ``index_gen``; retired requests leave the index eagerly
+    and the ``queue`` deque lazily.
     """
 
     __slots__ = ("addr", "bank", "queue", "rank", "rank_key", "rank_index",
@@ -177,10 +178,6 @@ class MemoryController:
                 for ch in range(geometry.channels)
                 for rk in range(geometry.ranks_per_channel)
             }
-        self._chan_refresh: Dict[int, List[Tuple[int, RefreshTracker]]] = {
-            ch: [] for ch in range(geometry.channels)}
-        for (ch, rk), tracker in self.refresh.items():
-            self._chan_refresh[ch].append((rk, tracker))
 
         self.raa: Optional[RaaCounterBank] = None
         if mitigation.uses_rfm:
@@ -188,7 +185,7 @@ class MemoryController:
 
         # Per-bank contexts, grouped per channel and per rank.
         self._ctx: Dict[BankAddress, _BankCtx] = {}
-        self._rank_banks: Dict[Tuple[int, int], List[_BankCtx]] = {}
+        rank_banks: Dict[Tuple[int, int], List[_BankCtx]] = {}
         for addr in geometry.bank_addresses():
             rank_key = (addr.channel, addr.rank)
             ctx = _BankCtx(addr, device.banks[addr],
@@ -196,7 +193,19 @@ class MemoryController:
                            geometry.bank_group_of(addr.bank))
             ctx.chan = device.channels[addr.channel]
             self._ctx[addr] = ctx
-            self._rank_banks.setdefault(rank_key, []).append(ctx)
+            rank_banks.setdefault(rank_key, []).append(ctx)
+        # Per channel, each rank's refresh tracker and its REF target:
+        # ``(channel, rank, tracker, ctxs, chan, banks, addrs)``, with the
+        # rank's contexts, Bank objects and addresses in bank order, built
+        # once so an all-bank REF is one call per layer.
+        self._chan_refresh: Dict[int, List[Tuple[int, RefreshTracker,
+                                                 Tuple]]] = {
+            ch: [] for ch in range(geometry.channels)}
+        for (ch, rk), tracker in self.refresh.items():
+            ctxs = rank_banks[(ch, rk)]
+            self._chan_refresh[ch].append((rk, tracker, (
+                ch, rk, tracker, ctxs, device.channels[ch],
+                [ctx.bank for ctx in ctxs], [ctx.addr for ctx in ctxs])))
         # Flat dense index for the enqueue hot path: avoids building a
         # BankAddress and hashing it per request.
         self._nranks = geometry.ranks_per_channel
@@ -238,6 +247,15 @@ class MemoryController:
 
         self.enqueued = 0
         self.retired = 0
+
+        # Drain counters (plain ints, bumped once per drain or per
+        # look-ahead, never per scan): calls, calls that issued no
+        # command, and run-ahead steps to the channel's next wake.
+        self.drains = 0
+        self.empty_drains = 0
+        self.lookaheads = 0
+        #: The last ``until`` the most recent drain reached.
+        self.drain_until = 0
 
         # Scheduler-health counters.  The rare-path ones (recomputes,
         # invalidations, reindexes, RAA crossings) are plain ints
@@ -368,14 +386,25 @@ class MemoryController:
 
     # -- main scheduling entry point ------------------------------------------------
 
-    def drain(self, channel: int, until: int
+    def drain(self, channel: int, until: int, limit: int = -1
               ) -> Tuple[List[Tuple[MemoryRequest, int]], Optional[int]]:
         """Issue every command on ``channel`` whose time is <= ``until``.
 
         Returns the requests whose data completed (with completion
         cycles) and the next cycle the channel should be re-examined
         (``None`` if it is fully idle with no future obligations).
+
+        ``limit`` lets the drain run ahead (DESIGN.md section 13): while
+        that next cycle lies in ``(until, limit]``, the drain advances
+        ``until`` to it and carries on exactly as the next drain would.
+        Each completion lowers ``limit`` to one cycle before its data
+        returns.  The caller promises that nothing else touches the
+        controller up to ``limit``; a ``limit`` at or below ``until``
+        (the default) runs no look-ahead.  ``drain_until`` holds the
+        last ``until`` reached.
         """
+        self.drains += 1
+        issued = False
         completions: List[Tuple[MemoryRequest, int]] = []
         best_candidate = self._best_candidate
         # Reuse the candidate memoized by the previous drain of this
@@ -395,16 +424,34 @@ class MemoryController:
                 # always yields a PRE or REF candidate), so the
                 # channel's next obligation is exactly the refresh
                 # horizon the scan just recorded.
-                return completions, self._scan_horizon[channel]
+                wake = self._scan_horizon[channel]
+                if wake is not None and wake <= limit:
+                    # Run ahead: the next drain would scan afresh.
+                    self.lookaheads += 1
+                    until = wake
+                    best = best_candidate(channel, until)
+                    continue
+                break
             earliest = best[0]
             if earliest > until:
+                horizon = self._scan_horizon[channel]
+                if earliest <= limit:
+                    # Run ahead: the next drain would reuse this winner
+                    # under the memo's rule, and rescan otherwise.
+                    self.lookaheads += 1
+                    until = earliest
+                    if not self._cand_reuse or (
+                            horizon is not None and until >= horizon):
+                        best = best_candidate(channel, until)
+                    continue
                 if self._cand_reuse:
                     self._saved_cand[channel] = best
-                    self._saved_horizon[channel] = \
-                        self._scan_horizon[channel]
-                return completions, earliest
+                    self._saved_horizon[channel] = horizon
+                wake = earliest
+                break
             # _execute inlined: dispatch once per issued command.
             cycle, _prio, _age, op, target, payload = best
+            issued = True
             if op == _OP_PRE:
                 chan = target.chan
                 if cycle < chan._cmd_free_at or \
@@ -422,8 +469,13 @@ class MemoryController:
                                        "PRE", "cmd", cycle, self._dur_pre,
                                        None))
             elif op == _OP_COL:
-                completions.append(self._do_column(cycle, target, payload))
+                completion = self._do_column(cycle, target, payload)
+                completions.append(completion)
                 self.retired += 1
+                done = completion[1]
+                if done <= limit:
+                    # The delivery event precedes any wake at ``done``.
+                    limit = done - 1
             elif op == _OP_ACT:
                 self._do_act(cycle, target, payload)
             elif op == _OP_REF:
@@ -431,6 +483,10 @@ class MemoryController:
             else:
                 self._do_rfm(cycle, target)
             best = best_candidate(channel, until)
+        if not issued:
+            self.empty_drains += 1
+        self.drain_until = until
+        return completions, wake
 
     # -- candidate generation ---------------------------------------------------------
 
@@ -453,7 +509,8 @@ class MemoryController:
                 # (None) and only the horizon needs recording -- this is
                 # the tail scan of every drain that empties a channel.
                 horizon = None
-                for _rank_index, tracker in self._chan_refresh[channel]:
+                for _rank_index, tracker, _ref in \
+                        self._chan_refresh[channel]:
                     due = tracker.next_due
                     if due <= until:
                         break
@@ -470,7 +527,7 @@ class MemoryController:
 
         refresh_draining_ranks = None
         horizon = None
-        for rank_index, tracker in self._chan_refresh[channel]:
+        for rank_index, tracker, ref in self._chan_refresh[channel]:
             due = tracker.next_due
             if due > until:
                 # Earliest not-yet-due REF tick: the validity horizon
@@ -482,8 +539,7 @@ class MemoryController:
                 refresh_draining_ranks = set()
                 chan = self._chans[channel]
             refresh_draining_ranks.add(rank_index)
-            cand = self._refresh_candidate(channel, rank_index, tracker,
-                                           chan)
+            cand = self._refresh_candidate(ref, chan)
             if cand is None:
                 continue
             e, p, a = cand[0], cand[1], cand[2]
@@ -718,15 +774,16 @@ class MemoryController:
             trace.instant(addr.channel, track, kind, "mitigation",
                           cycle, payload)
 
-    def _refresh_candidate(self, channel: int, rank_index: int,
-                           tracker: RefreshTracker, chan):
+    def _refresh_candidate(self, ref: Tuple, chan):
         # One pass over the rank's banks: if any bank is open, the best
         # (earliest, first-in-bank-order) PRE drains it; otherwise the
         # REF issues once every bank is REF-ready and the tracker is
         # due.  Bank earliest-issue is inlined (max of the exposed
         # next_*/busy_until fields) -- this runs for every candidate
-        # scan of a refresh-draining rank.
-        banks = self._rank_banks[(channel, rank_index)]
+        # scan of a refresh-draining rank.  ``ref`` is the rank's
+        # precomputed REF target (see ``_chan_refresh``).
+        tracker = ref[2]
+        banks = ref[3]
         best = None
         ref_earliest = tracker.next_due
         # chan.earliest_command(e) == max(e, cmd_floor), hoisted.
@@ -752,8 +809,7 @@ class MemoryController:
         if best is not None:
             return best
         earliest = ref_earliest if ref_earliest > cmd_floor else cmd_floor
-        return (earliest, _PRIO_REFRESH, 0, _OP_REF,
-                (channel, rank_index, tracker, banks, chan), None)
+        return (earliest, _PRIO_REFRESH, 0, _OP_REF, ref, None)
 
     def _rfm_candidate(self, ctx: _BankCtx, chan):
         bank = ctx.bank
@@ -888,35 +944,35 @@ class MemoryController:
         return request, done
 
     def _do_ref(self, cycle: int, target) -> None:
-        channel, rank_index, tracker, banks, chan = target
+        channel, rank_index, tracker, _ctxs, chan, banks, addrs = target
         chan.record_command(cycle)
         lo, hi = tracker.record_ref(cycle)
         if self._tbuf is not None:
             self._tbuf.append(("X", channel, self._rank_tracks[
                 (channel, rank_index)], "REF", "cmd", cycle,
                 self._dur_ref, {"lo": lo, "hi": hi}))
-        # The per-hook fan-outs run as separate per-bank loops (bank
-        # order preserved within each hook) so a REF with no RAA
-        # counters, a non-observing mitigation, or no observer pays
-        # nothing per bank for the absent hook.
-        for ctx in banks:
-            ctx.bank.issue_ref(cycle)
-            ctx.dirty = True
-        raa = self.raa
-        if raa is not None:
-            on_ref = raa.on_ref
-            for ctx in banks:
-                on_ref(ctx.addr)
+        Bank.issue_ref_all(banks, cycle)
+        # Only active banks are ever recomputed, and every enqueue marks
+        # its bank dirty, so the REF need only invalidate this rank's
+        # active banks.
+        for ctx in self._active[channel]:
+            if ctx.rank_index == rank_index:
+                ctx.dirty = True
+        if self.raa is not None:
+            self.raa.on_ref_all(addrs)
+        # The remaining per-bank fan-outs run as separate loops (bank
+        # order preserved within each hook) so a non-observing
+        # mitigation or an absent observer pays nothing per bank.
         if self._observes_ref:
             on_ref = self.mitigation.on_ref
-            for ctx in banks:
-                on_ref(ctx.addr, lo, hi, cycle)
+            for addr in addrs:
+                on_ref(addr, lo, hi, cycle)
         observer = self.observer
         if observer is not None:
             on_range = observer.on_refresh_range
-            for ctx in banks:
+            for addr in addrs:
                 # Observers wrap [lo, hi) modulo the bank's row count.
-                on_range(ctx.addr, lo, hi, cycle)
+                on_range(addr, lo, hi, cycle)
         return None
 
     def _do_rfm(self, cycle: int, ctx: _BankCtx) -> None:

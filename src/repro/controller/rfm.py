@@ -74,8 +74,27 @@ class RaaCounterBank:
         self.rfms_issued += 1
 
     def on_ref(self, addr: BankAddress) -> None:
-        old = self.counters.get(addr, 0)
-        new = max(0, old - self.ref_credit)
-        self.counters[addr] = new
-        if old >= self.raaimt > new:
-            self.due_count -= 1
+        self.on_ref_all((addr,))
+
+    def on_ref_all(self, addrs) -> None:
+        """Credit one all-bank REF to every bank in ``addrs``.
+
+        A bank at zero costs one dict probe.  An absent bank is inserted
+        at zero, in ``addrs`` order, exactly as a per-bank credit would
+        insert it: insertion order is the RFM tie-break.
+        """
+        counters = self.counters
+        credit = self.ref_credit
+        raaimt = self.raaimt
+        for addr in addrs:
+            old = counters.get(addr)
+            if not old:
+                if old is None:
+                    counters[addr] = 0
+                continue
+            new = old - credit
+            if new < 0:
+                new = 0
+            counters[addr] = new
+            if old >= raaimt > new:
+                self.due_count -= 1

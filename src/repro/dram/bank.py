@@ -166,16 +166,29 @@ class Bank:
 
     def issue_ref(self, cycle: int) -> int:
         """All-bank refresh touching this bank; returns completion cycle."""
-        if self.open_row is not None:
-            self._fail("REF requires a precharged bank")
-        if cycle < self.next_act or cycle < self.busy_until:
-            self._fail("REF issued before its timing constraints allow")
-        done = cycle + self._t.tRFC
-        if done > self.busy_until:
-            self.busy_until = done
-        if done > self.next_act:
-            self.next_act = done
-        self.stats.refreshes += 1
+        return Bank.issue_ref_all((self,), cycle)
+
+    @staticmethod
+    def issue_ref_all(banks, cycle: int) -> int:
+        """One all-bank REF across ``banks`` (one rank's banks, in bank
+        order); returns the completion cycle of the last bank.
+
+        The checks and state updates of :meth:`issue_ref` run per bank in
+        one frame, so a rank-wide REF costs one call instead of one per
+        bank.
+        """
+        done = cycle
+        for bank in banks:
+            if bank.open_row is not None:
+                bank._fail("REF requires a precharged bank")
+            if cycle < bank.next_act or cycle < bank.busy_until:
+                bank._fail("REF issued before its timing constraints allow")
+            done = cycle + bank._t.tRFC
+            if done > bank.busy_until:
+                bank.busy_until = done
+            if done > bank.next_act:
+                bank.next_act = done
+            bank.stats.refreshes += 1
         return done
 
     def issue_rfm(self, cycle: int, duration: Optional[int] = None) -> int:

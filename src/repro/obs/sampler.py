@@ -123,6 +123,11 @@ def collect_summary(system, result=None) -> Dict:
             "translation_invalidations": mc.translation_invalidations,
             "reindexes": mc.reindexes,
         },
+        "drain": {
+            "calls": mc.drains,
+            "empty": mc.empty_drains,
+            "lookaheads": mc.lookaheads,
+        },
         "raa_crossings": mc.raa_crossings,
         "channels": [
             {"commands": c.commands_issued,

@@ -193,6 +193,8 @@ class System:
         stale and skipped before any bookkeeping.  A superseded entry
         whose channel is re-armed at its own cycle is live again and,
         carrying the older seq, fires first (see DESIGN.md section 13).
+        A channel wake's drain may also stand for the channel's own
+        later wakes, which are then never pushed (same section).
         """
         config = self.config
         max_cycles = config.max_cycles
@@ -228,7 +230,23 @@ class System:
 
             if kind == 2:
                 # -- channel wake: drain commands up to ``cycle`` ---------
-                completions, wake = drain(payload, cycle)
+                # While a thread is unfinished, the drain may run ahead
+                # through this channel's own later wakes, up to (not
+                # including) the next heap event, the next sample and
+                # max_cycles; it then stands for those wakes and
+                # ``cycle`` becomes the last of them (DESIGN.md
+                # section 13).
+                limit = -1
+                if unfinished:
+                    limit = heap[0][0] - 1 if heap else max_cycles
+                    if limit >= next_sample:
+                        limit = next_sample - 1
+                    if limit > max_cycles:
+                        limit = max_cycles
+                completions, wake = drain(payload, cycle, limit)
+                cycle = mc.drain_until
+                if cycle > last_cycle:
+                    last_cycle = cycle
                 for request, done in completions:
                     # Data returns at `done`, possibly beyond this drain
                     # horizon: deliver it as its own event.

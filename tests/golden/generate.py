@@ -94,7 +94,7 @@ def build_system(scheme: str):
 # -- command-stream capture ----------------------------------------------------------
 
 _BANK_COMMANDS = ("issue_act", "issue_pre", "issue_rd", "issue_wr",
-                  "issue_ref", "issue_rfm")
+                  "issue_rfm")
 
 
 def run_captured(system, run=None):
@@ -124,14 +124,30 @@ def run_captured(system, run=None):
             return out
         return wrapped
 
+    # An all-bank REF is one ``Bank.issue_ref_all`` call per rank
+    # (``issue_ref`` delegates to it); it records one event per bank, in
+    # bank order, as a per-bank REF would.
+    ref_all = Bank.issue_ref_all
+
+    def wrapped_ref_all(banks, cycle):
+        out = ref_all(banks, cycle)
+        for bank in banks:
+            addr = addr_of.get(id(bank))
+            if addr is not None:
+                events.append(
+                    f"{addr.channel}.{addr.rank}.{addr.bank} REF @{cycle}")
+        return out
+
     for name in _BANK_COMMANDS:
         originals[name] = getattr(Bank, name)
         setattr(Bank, name, make_wrapper(name, originals[name]))
+    Bank.issue_ref_all = staticmethod(wrapped_ref_all)
     try:
         result = system.run() if run is None else run(system)
     finally:
         for name, orig in originals.items():
             setattr(Bank, name, orig)
+        Bank.issue_ref_all = staticmethod(ref_all)
     digest = hashlib.sha256("\n".join(events).encode()).hexdigest()
     return result, digest, len(events)
 

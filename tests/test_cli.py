@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main, make_scheme
+from repro.cli import build_parser, main, make_scheme, summary_lines
 from repro.core import Shadow
 from repro.mitigations import (
     BlockHammer,
@@ -104,7 +104,29 @@ class TestObservabilityCommands:
         assert "candidate cache:" in out
         assert "translation" in out
         assert "raa:" in out and "rfms_issued=" in out
+        assert "drains:" in out and "look-ahead advances" in out
         assert "snapshots:" in out
+
+    def test_summary_without_drain_block_still_prints(self):
+        # Summaries cached before the drain counters existed lack the
+        # block; they print everything else.
+        from repro.obs import Observability
+        from repro.sim import System, SystemConfig
+        from repro.workloads import WorkloadProfile
+
+        obs = Observability(metrics=True)
+        profile = WorkloadProfile(name="w", mpki=5.0,
+                                  row_buffer_locality=0.5)
+        System([profile], obs=obs,
+               config=SystemConfig(requests_per_thread=50)).run()
+        summary = dict(obs.summary)
+        assert set(summary["drain"]) == {"calls", "empty", "lookaheads"}
+        assert summary["drain"]["calls"] > summary["drain"]["empty"]
+        full = summary_lines(summary)
+        del summary["drain"]
+        old = summary_lines(summary)
+        assert [line for line in full
+                if not line.startswith("drains:")] == old
 
     def test_stats_command_without_rfm_scheme(self, capsys):
         rc = main(["stats", "--workload", "gcc", "--scheme", "none",

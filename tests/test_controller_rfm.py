@@ -1,6 +1,8 @@
 """RAA counter semantics (DDR5 RFM interface)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.controller.rfm import RaaCounterBank
 from repro.dram.device import BankAddress
@@ -65,3 +67,40 @@ def test_validation():
         RaaCounterBank(raaimt=0)
     with pytest.raises(ValueError):
         RaaCounterBank(raaimt=4, ref_credit=-1)
+
+
+def _reference_on_ref(counters, due, raaimt, credit, addr):
+    """The per-bank REF credit, written out independently."""
+    old = counters.get(addr, 0)
+    new = max(0, old - credit)
+    counters[addr] = new
+    return due - (1 if old >= raaimt > new else 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raaimt=st.integers(1, 8), credit=st.integers(0, 10),
+       start=st.dictionaries(st.integers(0, 7), st.integers(0, 40),
+                             max_size=8),
+       rank=st.permutations(list(range(8))))
+def test_ref_all_equals_sequential_on_ref(raaimt, credit, start, rank):
+    """Absent banks, zero counts and counts far above RAAIMT alike."""
+    addrs = [BankAddress(0, 0, bank) for bank in rank]
+    initial = {BankAddress(0, 0, bank): count
+               for bank, count in start.items()}
+
+    def fresh():
+        return RaaCounterBank(raaimt=raaimt, ref_credit=credit,
+                              counters=dict(initial))
+
+    together, one_by_one = fresh(), fresh()
+    together.on_ref_all(addrs)
+    for addr in addrs:
+        one_by_one.on_ref(addr)
+    want = dict(initial)
+    due = fresh().due_count
+    for addr in addrs:
+        due = _reference_on_ref(want, due, raaimt, credit, addr)
+    for raa in (together, one_by_one):
+        assert raa.counters == want
+        assert list(raa.counters) == list(want)
+        assert raa.due_count == due

@@ -120,6 +120,55 @@ class TestRefreshAndRfm:
         assert bank.earliest_issue(CommandType.ACT, 0) == 500
 
 
+def _reference_ref(bank, cycle):
+    """The per-bank REF rule, written out independently of ``Bank``."""
+    done = cycle + T.tRFC
+    bank.busy_until = max(bank.busy_until, done)
+    bank.next_act = max(bank.next_act, done)
+    bank.stats.refreshes += 1
+
+
+def _ref_ready_banks():
+    """Four precharged banks in different states, all REF-ready at 3000."""
+    banks = [make_bank() for _ in range(4)]
+    banks[1].issue_act(7, 0)
+    banks[1].issue_pre(T.tRAS)
+    banks[2].issue_rfm(100, duration=500)
+    banks[3].issue_ref(0)
+    return banks
+
+
+class TestRankWideRef:
+    def test_matches_per_bank_ref(self):
+        got = _ref_ready_banks()
+        one_by_one = _ref_ready_banks()
+        want = _ref_ready_banks()
+        done = Bank.issue_ref_all(got, 3000)
+        for bank in one_by_one:
+            bank.issue_ref(3000)
+        for bank in want:
+            _reference_ref(bank, 3000)
+        assert done == 3000 + T.tRFC
+        for banks in (got, one_by_one):
+            assert [(b.busy_until, b.next_act, b.stats.refreshes)
+                    for b in banks] == \
+                [(b.busy_until, b.next_act, b.stats.refreshes)
+                 for b in want]
+
+    def test_open_bank_rejected(self):
+        banks = _ref_ready_banks()
+        banks[2].issue_act(3, 3000)
+        with pytest.raises(RuntimeError, match="DRAM protocol violation: "
+                           "REF requires a precharged bank"):
+            Bank.issue_ref_all(banks, 3000 + T.tRAS)
+
+    def test_too_early_rejected(self):
+        banks = _ref_ready_banks()
+        with pytest.raises(RuntimeError, match="DRAM protocol violation: "
+                           "REF issued before its timing constraints"):
+            Bank.issue_ref_all(banks, 550)
+
+
 class TestEarliestIssue:
     def test_earliest_issue_matches_legality(self):
         bank = make_bank()

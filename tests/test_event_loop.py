@@ -60,10 +60,11 @@ def _result_fields(result):
     }
 
 
-def _run_pair(build):
+def _run_systems(build):
     """Build two identical systems; run one through ``System.run``, one
-    through the reference loop.  Returns the result and the number of
-    revived wakes the reference saw."""
+    through the reference loop, and assert they agree.  Returns both
+    systems, the result and the number of revived wakes the reference
+    saw."""
     fast_sys = build()
     ref_sys = build()
     fast_result, fast_digest, fast_events = GEN.run_captured(fast_sys)
@@ -78,7 +79,13 @@ def _run_pair(build):
     assert fast_events == ref_events
     assert fast_digest == ref_digest
     assert _result_fields(fast_result) == _result_fields(ref_result)
-    return fast_result, revived[0]
+    return fast_sys, ref_sys, fast_result, revived[0]
+
+
+def _run_pair(build):
+    """:func:`_run_systems`, returning the result and revived wakes."""
+    _, _, result, revived = _run_systems(build)
+    return result, revived
 
 
 class TestFastMatchesReference:
@@ -117,6 +124,71 @@ class TestFastMatchesReference:
         obs_fast.close()
         obs_ref.close()
         assert _result_fields(fast) == _result_fields(ref)
+        # A drain never runs ahead past a sample point, so every
+        # snapshot is taken at the same cycle from the same state.
+        assert obs_fast.snapshots == obs_ref.snapshots
+
+
+class TestDrainLookAhead:
+    """The production loop lets a drain run ahead through its channel's
+    own later wakes (DESIGN.md section 13); the reference loop never
+    does.  Each case pins the two together where a bound matters."""
+
+    def test_posted_write_only_thread(self):
+        # The thread finishes at its last issue, so look-ahead switches
+        # off while the posted writes are still queued.  Dense writes and
+        # a short REF interval on a two-rank channel put an idle rank's
+        # REF just after the last write: a drain still running ahead
+        # would issue it and end the run late.
+        from repro.dram.device import DramGeometry
+        from repro.dram.subarray import SubarrayLayout
+        from repro.dram.timing import DDR4_2666
+
+        writes = WorkloadProfile(
+            name="loop-writes", mpki=80.0, row_buffer_locality=0.1,
+            write_fraction=1.0, footprint_pages=256)
+        geometry = DramGeometry(
+            channels=1, ranks_per_channel=2, banks_per_rank=4,
+            layout=SubarrayLayout(subarrays_per_bank=4,
+                                  rows_per_subarray=64),
+            columns_per_row=64)
+
+        def build():
+            config = SystemConfig(
+                geometry=geometry, requests_per_thread=150, seed=1,
+                timing=DDR4_2666.with_refresh_interval(1000))
+            return System([writes], config=config)
+        # ``_run_systems`` asserts equal results, ``cycles`` included.
+        fast_sys, _, result, _ = _run_systems(build)
+        assert result.reads_completed == 0
+        assert fast_sys.mc.lookaheads > 0
+
+    def test_hammer_thread_at_mlp_one(self):
+        from repro.workloads.hammer import HammerProfile
+
+        def build():
+            config = SystemConfig(requests_per_thread=400, seed=3, mlp=1)
+            return System([HammerProfile()], config=config)
+        fast_sys, ref_sys, _, _ = _run_systems(build)
+        assert fast_sys.mc.lookaheads > 0
+        assert ref_sys.mc.lookaheads == 0
+        assert fast_sys.mc.drains < ref_sys.mc.drains
+
+    def test_two_channels_woken_at_one_cycle(self):
+        def build():
+            config = SystemConfig(requests_per_thread=200, seed=23)
+            return System([_SPARSE] * 2, config=config)
+        woken = {}
+        system = build()
+        drain = system.mc.drain
+
+        def recording(channel, until, limit=-1):
+            woken.setdefault(until, set()).add(channel)
+            return drain(channel, until, limit)
+        system.mc.drain = recording
+        run_reference(system)
+        assert any(len(channels) > 1 for channels in woken.values())
+        _run_systems(build)
 
 
 class TestDeterminism:

@@ -292,3 +292,18 @@ class TestLowerBoundPruning:
         assert system.mc._cand_reuse
         system.run()
         assert obs.summary["candidate_cache"]["pruned"] > 0
+
+
+class TestArrivalCausality:
+    @pytest.mark.xfail(strict=True, reason=(
+        "known bug: no candidate is floored at its request's arrival, so "
+        "a read on an idle bank is served before it arrives (ROADMAP)"))
+    def test_read_is_not_served_before_it_arrives(self):
+        _device, mc = make_mc(refresh=False)
+        request = req(row=1, arrival=5000)
+        mc.enqueue(request)
+        mc.drain(0, 5000)
+        # Its ACT cannot precede the arrival, so neither can the column
+        # command a tRCD later, nor the data.
+        assert request.issued >= 5000 + T.tRCD
+        assert request.completed >= 5000 + T.tRCD + T.tCL + T.tBL
