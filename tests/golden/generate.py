@@ -24,7 +24,10 @@ from repro.dram.device import DramGeometry
 from repro.dram.subarray import SubarrayLayout
 from repro.mitigations import (
     BlockHammer,
+    Dapper,
+    FilteredRfm,
     Graphene,
+    Mint,
     Mithril,
     NoMitigation,
     Para,
@@ -77,11 +80,19 @@ def make_mitigation(scheme: str):
         return Para(probability=0.05, rng=SystemRng(71))
     if scheme == "parfm":
         return Parfm(raaimt=16, rng=SystemRng(43))
+    if scheme == "mint":
+        return Mint(raaimt=20, rng=SystemRng(17))
+    if scheme == "dapper":
+        return Dapper(raaimt=10, table_entries=8, blast_radius=2)
+    if scheme == "filtered":
+        # In front of SHADOW, not PARFM: a filtered TRR scheme still pays
+        # tRFM per window, so its command stream would equal PARFM's.
+        return FilteredRfm(make_mitigation("shadow"), hazard_threshold=6)
     raise ValueError(f"unknown golden scheme {scheme!r}")
 
 
 SCHEMES = ("none", "shadow", "rrs", "blockhammer", "graphene", "mithril",
-           "para", "parfm")
+           "para", "parfm", "mint", "dapper", "filtered")
 
 
 def build_system(scheme: str):
@@ -177,8 +188,12 @@ def scenario_record(scheme: str) -> dict:
     elif scheme == "blockhammer":
         record["throttled_acts"] = mitigation.throttled_acts
         record["total_delay_cycles"] = mitigation.total_delay_cycles
-    elif scheme in ("graphene", "mithril", "para", "parfm"):
+    elif scheme in ("graphene", "mithril", "para", "parfm", "mint",
+                    "dapper"):
         record["trr_count"] = mitigation.trr_count
+    elif scheme == "filtered":
+        record["rfms_filtered"] = mitigation.rfms_filtered
+        record["rfms_passed"] = mitigation.rfms_passed
     return record
 
 
