@@ -90,7 +90,7 @@ def simulate_tracker_defense(attacker, layout: SubarrayLayout,
     The MC-side counterpart of :func:`simulate_attack`: instead of
     SHADOW's in-DRAM shuffle, the defense is any
     :class:`~repro.mitigations.base.Mitigation` (typically a
-    tracker x policy x scope composition) whose TRRs, swaps and
+    tracker x policy composition) whose TRRs, swaps and
     RFM-hosted refreshes are applied to the same
     :class:`~repro.rowhammer.model.DisturbanceModel`.  Cycle time is
     abstracted to interval indices -- disturbance accounting only needs

@@ -12,10 +12,8 @@ committed quick baseline rather than against full-length numbers.
 
 from __future__ import annotations
 
-import cProfile
 import json
 import platform
-import pstats
 import sys
 import time
 from dataclasses import dataclass, field
@@ -155,24 +153,7 @@ BENCH_PROFILES: Dict[str, BenchProfile] = {
 
 # -- measurement ------------------------------------------------------------------
 
-def _profile_top(profiler: cProfile.Profile, top_n: int) -> List[Dict]:
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative")
-    rows = []
-    for func, (cc, nc, tt, ct, _callers) in stats.stats.items():
-        filename, lineno, name = func
-        rows.append({
-            "function": f"{Path(filename).name}:{lineno}({name})",
-            "ncalls": nc,
-            "tottime_s": round(tt, 4),
-            "cumtime_s": round(ct, 4),
-        })
-    rows.sort(key=lambda r: r["cumtime_s"], reverse=True)
-    return rows[:top_n]
-
-
 def run_one(profile: BenchProfile, quick: bool = False, repeats: int = 1,
-            with_cprofile: bool = False, top_n: int = 15,
             obs_factory: Optional[Callable[[], object]] = None) -> Dict:
     """Run one pinned profile; returns its report entry.
 
@@ -207,19 +188,11 @@ def run_one(profile: BenchProfile, quick: bool = False, repeats: int = 1,
         "wall_s": round(best_wall, 4),
         "cycles_per_s": round(result.cycles / best_wall, 1),
     }
-    if with_cprofile:
-        system = profile.build(quick)
-        profiler = cProfile.Profile()
-        profiler.enable()
-        system.run()
-        profiler.disable()
-        entry["cprofile_top"] = _profile_top(profiler, top_n)
     return entry
 
 
 def run_bench(names: Optional[List[str]] = None, quick: bool = False,
-              repeats: int = 1, with_cprofile: bool = False,
-              log=print,
+              repeats: int = 1, log=print,
               obs_factory: Optional[Callable[[], object]] = None,
               keep_going: bool = False) -> Dict[str, Dict]:
     """Run the pinned profile set; returns ``{name: entry}``.
@@ -239,8 +212,7 @@ def run_bench(names: Optional[List[str]] = None, quick: bool = False,
     for name in names:
         try:
             entry = run_one(BENCH_PROFILES[name], quick=quick,
-                            repeats=repeats, with_cprofile=with_cprofile,
-                            obs_factory=obs_factory)
+                            repeats=repeats, obs_factory=obs_factory)
         except Exception as exc:
             if not keep_going:
                 raise

@@ -317,20 +317,10 @@ def cmd_bench(args) -> int:
     try:
         results = run_bench(names=names, quick=args.quick,
                             repeats=args.repeats,
-                            with_cprofile=args.profile,
                             obs_factory=obs_factory,
                             keep_going=args.keep_going)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    if args.profile:
-        for name, entry in results.items():
-            if "cprofile_top" not in entry:
-                continue
-            print(f"-- cProfile top for {name} --")
-            for row in entry["cprofile_top"]:
-                print(f"  {row['cumtime_s']:>8.3f}s cum "
-                      f"{row['tottime_s']:>8.3f}s tot "
-                      f"{row['ncalls']:>8}x  {row['function']}")
     if args.out:
         write_report(args.out, variant, results)
         print(f"wrote {variant} results to {args.out}")
@@ -555,8 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shortened CI variant of each profile")
     bench_p.add_argument("--repeats", type=int, default=1, metavar="N",
                          help="take the best wall time of N runs")
-    bench_p.add_argument("--profile", action="store_true",
-                         help="also report cProfile top functions")
     bench_p.add_argument("--profiles", nargs="*", metavar="NAME",
                          help="subset of profiles (default: all)")
     bench_p.add_argument("--out", metavar="PATH",

@@ -19,8 +19,9 @@ Every scheme from the paper's evaluation is implemented behind one
 * :class:`~repro.mitigations.mint.Mint` / :class:`~repro.mitigations.
   dapper.Dapper` -- post-paper tracker designs (MINT's single-entry
   sampler, DAPPER's performance-attack-resilient tracker), expressed as
-  one-file compositions on the tracker x policy x scope substrate in
-  :mod:`repro.mitigations.compose`.
+  one-file compositions on the tracker x policy substrate in
+  :mod:`repro.mitigations.compose`, whose trackers are the structures
+  in :mod:`repro.mitigations.trackers`.
 
 SHADOW itself lives in :mod:`repro.core` (it is the paper's primary
 contribution) but implements this same interface.
@@ -28,13 +29,7 @@ contribution) but implements this same interface.
 
 from repro.mitigations.base import ActOutcome, Mitigation, RfmOutcome
 from repro.mitigations.blockhammer import BlockHammer, BlockHammerConfig
-from repro.mitigations.compose import (
-    ActionPolicy,
-    ComposedMitigation,
-    Scope,
-    Tracker,
-    TrackerSpec,
-)
+from repro.mitigations.compose import ActionPolicy, ComposedMitigation
 from repro.mitigations.dapper import Dapper
 from repro.mitigations.drr import DoubleRefreshRate
 from repro.mitigations.filtered import FilteredRfm
@@ -51,6 +46,7 @@ from repro.mitigations.trackers import (
     DualCountingBloomFilter,
     MintSampler,
     MisraGries,
+    RecentHistory,
     ResilientMisraGries,
 )
 
@@ -139,9 +135,6 @@ __all__ = [
     "ActionPolicy",
     "BlockHammer",
     "ComposedMitigation",
-    "Scope",
-    "Tracker",
-    "TrackerSpec",
     "BlockHammerConfig",
     "CountMinSketch",
     "CounterSummary",
@@ -159,6 +152,7 @@ __all__ = [
     "Para",
     "Parfm",
     "RandomizedRowSwap",
+    "RecentHistory",
     "ResilientMisraGries",
     "RfmOutcome",
     "RrsConfig",

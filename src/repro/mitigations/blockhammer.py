@@ -1,7 +1,8 @@
 """BlockHammer: blacklist-and-throttle (Yaglikci et al., HPCA 2021).
 
-Composition: ``dcbf x throttle x bank/epoch`` (the D-CBF rotates its
-own epoch halves on the cycle stamps it is fed).
+Composition: :class:`~repro.mitigations.trackers.DualCountingBloomFilter`
+x :class:`~repro.mitigations.compose.Throttle`, never reset by the glue
+(the D-CBF rotates its own epoch halves on the cycle stamps it is fed).
 
 A dual counting Bloom filter (D-CBF) per bank estimates each row's ACT
 count over rolling epoch halves.  Rows whose estimate crosses the
@@ -23,12 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.mitigations.compose import (
-    ComposedMitigation,
-    Scope,
-    Throttle,
-    TrackerSpec,
-)
+from repro.mitigations.compose import ComposedMitigation, Throttle
+from repro.mitigations.trackers import DualCountingBloomFilter
 from repro.rowhammer.model import blast_weight_sum
 
 
@@ -59,6 +56,8 @@ class BlockHammerConfig:
     def __post_init__(self) -> None:
         if self.hcnt <= 1:
             raise ValueError("hcnt must be > 1")
+        if self.blast_radius < 1:
+            raise ValueError("blast_radius must be >= 1")
         if self.safety_margin < 1.0:
             raise ValueError("safety_margin must be >= 1")
         if self.history_scale < 1.0:
@@ -69,7 +68,7 @@ class BlockHammerConfig:
     @property
     def blacklist_threshold(self) -> int:
         """N_BL: estimate at which a row becomes rate-limited."""
-        derate = blast_weight_sum(max(1, self.blast_radius)) / 2.0
+        derate = blast_weight_sum(self.blast_radius) / 2.0
         return max(1, int(self.hcnt / self.safety_margin / derate
                           / self.history_scale))
 
@@ -80,12 +79,7 @@ class BlockHammer(ComposedMitigation):
     def __init__(self, config: BlockHammerConfig):
         self.config = config
         super().__init__(
-            tracker=TrackerSpec.of(
-                "dcbf", width=config.cbf_width, depth=config.cbf_depth,
-                epoch_cycles=lambda g, t: max(1, t.tREFW // 2)),
-            policy=Throttle(threshold=config.blacklist_threshold,
-                            delay=self._derive_delay),
-            scope=Scope(per="bank", reset="epoch"),
+            policy=Throttle(threshold=config.blacklist_threshold),
             name=(f"BlockHammer-h{config.hcnt}-b{config.blast_radius}"
                   f"-s{config.history_scale:g}"),
         )
@@ -100,13 +94,20 @@ class BlockHammer(ComposedMitigation):
                                      history_scale=history_scale,
                                      rate_scale=rate_scale))
 
-    def _derive_delay(self, geometry, timing) -> int:
+    def make_tracker(self) -> DualCountingBloomFilter:
+        return DualCountingBloomFilter(
+            self.config.cbf_width, max(1, self.timing.tREFW // 2),
+            self.config.cbf_depth)
+
+    def bind(self, geometry, timing) -> None:
+        super().bind(geometry, timing)
         # A blacklisted row may sustain at most hcnt ACTs per tREFW
         # (per weighted blast unit): enforce the matching inter-ACT gap,
         # normalized by the trace-rate compression factor.
-        derate = blast_weight_sum(max(1, self.config.blast_radius)) / 2.0
+        derate = blast_weight_sum(self.config.blast_radius) / 2.0
         budget = max(1, int(self.config.hcnt / derate))
-        return max(1, int(timing.tREFW / budget / self.config.rate_scale))
+        self.policy.delay = max(
+            1, int(timing.tREFW / budget / self.config.rate_scale))
 
     @property
     def _delay(self) -> Optional[int]:

@@ -1,6 +1,8 @@
 """DAPPER-style performance-attack-resilient tracking (Woo & Nair, 2025).
 
-Composition: ``dapper x rfm-trr-hottest x bank/ref-window``.
+Composition: :class:`~repro.mitigations.trackers.ResilientMisraGries` x
+:class:`~repro.mitigations.compose.RfmTrrHottest`, decayed per REF
+window.
 
 Tracker-based defenses open a second attack surface: an adversary who
 cannot flip bits may still *thrash the tracker* -- spray activations so
@@ -31,14 +33,10 @@ holds across the paper's Table II range.
 
 from __future__ import annotations
 
-from repro.mitigations.compose import (
-    ComposedMitigation,
-    RfmTrrHottest,
-    Scope,
-    TrackerSpec,
-)
+from repro.mitigations.compose import ComposedMitigation, RfmTrrHottest
 from repro.mitigations.mithril import _blast_derate
 from repro.mitigations.parfm import shadow_raaimt
+from repro.mitigations.trackers import ResilientMisraGries
 
 
 def dapper_entries(hcnt: int) -> int:
@@ -68,14 +66,15 @@ class Dapper(ComposedMitigation):
             raise ValueError("table_entries must be positive")
         self._raaimt = raaimt
         self.table_entries = table_entries
-        self.blast_radius = max(1, blast_radius)
+        self.blast_radius = blast_radius
         super().__init__(
-            tracker=TrackerSpec.of("dapper", entries=table_entries),
-            policy=RfmTrrHottest(self.blast_radius),
-            scope=Scope(per="bank", reset="ref-window"),
-            name=(f"DAPPER-r{raaimt}-e{table_entries}"
-                  f"-b{self.blast_radius}"),
+            policy=RfmTrrHottest(blast_radius),
+            reset="ref-window",
+            name=f"DAPPER-r{raaimt}-e{table_entries}-b{blast_radius}",
         )
+
+    def make_tracker(self) -> ResilientMisraGries:
+        return ResilientMisraGries(self.table_entries)
 
     @classmethod
     def for_hcnt(cls, hcnt: int, blast_radius: int = 1) -> "Dapper":

@@ -11,9 +11,7 @@ Mithril): the RAA counters still run at RAAIMT, but when an RFM window
 arrives and the filter's hottest estimate is below the hazard
 threshold, the wrapped scheme's in-DRAM work is skipped (the window
 still obeys tRFM -- the JEDEC interface provisions it either way; the
-filter saves the *extra* mitigations a scheme would otherwise need and,
-with ``elide_rfm``, models a future interface that drops the command
-entirely).
+filter saves the *extra* mitigations a scheme would otherwise need).
 """
 
 from __future__ import annotations
@@ -22,16 +20,14 @@ from typing import Dict
 
 from repro.dram.device import BankAddress
 from repro.mitigations.base import ActOutcome, Mitigation, RfmOutcome
-from repro.mitigations.compose import Tracker
-from repro.spec.registry import TRACKERS
+from repro.mitigations.trackers import DualCountingBloomFilter
 
 
 class FilteredRfm(Mitigation):
     """Hazard-filtered wrapper around an RFM-based mitigation."""
 
     def __init__(self, inner: Mitigation, hazard_threshold: int,
-                 cbf_width: int = 1024, cbf_depth: int = 4,
-                 elide_rfm: bool = False):
+                 cbf_width: int = 1024, cbf_depth: int = 4):
         super().__init__()
         if not inner.uses_rfm:
             raise ValueError("FilteredRfm wraps RFM-based schemes only")
@@ -44,8 +40,7 @@ class FilteredRfm(Mitigation):
         self.hazard_threshold = hazard_threshold
         self.cbf_width = cbf_width
         self.cbf_depth = cbf_depth
-        self.elide_rfm = elide_rfm
-        self._filters: Dict[BankAddress, Tracker] = {}
+        self._filters: Dict[BankAddress, DualCountingBloomFilter] = {}
         self._hot: Dict[BankAddress, int] = {}
         self.rfms_filtered = 0
         self.rfms_passed = 0
@@ -101,14 +96,11 @@ class FilteredRfm(Mitigation):
 
     # -- the filter ------------------------------------------------------------------
 
-    def _filter(self, addr: BankAddress) -> Tracker:
+    def _filter(self, addr: BankAddress) -> DualCountingBloomFilter:
         f = self._filters.get(addr)
         if f is None:
-            # Built through the tracker registry so the filter rides the
-            # same protocol (and telemetry surface) as scheme trackers.
-            f = TRACKERS.build("dcbf", width=self.cbf_width,
-                               epoch_cycles=self._epoch,
-                               depth=self.cbf_depth)
+            f = DualCountingBloomFilter(self.cbf_width, self._epoch,
+                                        self.cbf_depth)
             self._filters[addr] = f
         return f
 

@@ -1,7 +1,8 @@
 """Graphene: Misra-Gries-tracked TRR at the memory controller
 (Park et al., MICRO 2020).
 
-Composition: ``misra-gries x trr-threshold x bank/ref-window``.
+Composition: :class:`~repro.mitigations.trackers.MisraGries` x
+:class:`~repro.mitigations.compose.ThresholdTrr`, reset per REF window.
 
 Each bank has a Misra-Gries heavy-hitters table; whenever a row's
 estimated count crosses the TRR threshold, the controller immediately
@@ -18,12 +19,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.mitigations.compose import (
-    ComposedMitigation,
-    Scope,
-    ThresholdTrr,
-    TrackerSpec,
-)
+from repro.mitigations.compose import ComposedMitigation, ThresholdTrr
+from repro.mitigations.trackers import MisraGries
 from repro.rowhammer.model import blast_weight_sum
 
 
@@ -34,7 +31,9 @@ class Graphene(ComposedMitigation):
                  table_entries: Optional[int] = None):
         if hcnt <= 4:
             raise ValueError("hcnt too small to derive a TRR threshold")
-        self.blast_radius = max(1, blast_radius)
+        if blast_radius < 1:
+            raise ValueError("blast_radius must be >= 1")
+        self.blast_radius = blast_radius
         # TRR threshold: a victim accumulates at most W_sum weighted
         # disturbance per tracked-aggressor count, so trigger with margin.
         self.threshold = max(
@@ -45,10 +44,8 @@ class Graphene(ComposedMitigation):
         # for a tRC-limited bank (resolved at bind, see below).
         self.table_entries = table_entries
         super().__init__(
-            tracker=TrackerSpec.of(
-                "misra-gries", entries=lambda g, t: self.table_entries),
             policy=ThresholdTrr(self.threshold, self.blast_radius),
-            scope=Scope(per="bank", reset="ref-window"),
+            reset="ref-window",
             name=f"Graphene-h{hcnt}",
         )
 
@@ -57,3 +54,6 @@ class Graphene(ComposedMitigation):
         if self.table_entries is None:
             acts_per_window = timing.tREFW // timing.tRC
             self.table_entries = max(16, acts_per_window // self.threshold)
+
+    def make_tracker(self) -> MisraGries:
+        return MisraGries(self.table_entries)

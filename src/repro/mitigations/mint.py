@@ -1,14 +1,16 @@
 """MINT: a minimalist in-DRAM tracker (Qureshi, Qazi & Jaleel, MICRO 2024).
 
-Composition: ``mint x rfm-trr-sampled x bank/rfm`` -- the poster child
-of the tracker/policy/scope decomposition: the *entire* scheme is a new
-single-entry tracker dropped onto the existing RFM-hosted TRR action.
+Composition: :class:`~repro.mitigations.trackers.MintSampler` x
+:class:`~repro.mitigations.compose.RfmTrrSampled`, reset per RFM -- the
+poster child of the tracker/policy decomposition: the *entire* scheme
+is a new single-entry tracker dropped onto the existing RFM-hosted TRR
+action.
 
 MINT stores exactly one row per bank.  At the start of each mitigation
 window (the RAAIMT activations between two RFMs) it draws a uniform
 slot and captures the row of exactly that activation; the RFM then
 refreshes the captured row's neighbourhood and the sampler re-arms
-(``Scope(reset="rfm")``).  Every ACT in the window has the same
+(``reset="rfm"``).  Every ACT in the window has the same
 ``1/RAAIMT`` selection probability -- the distribution PARFM needs a
 RAAIMT-deep history buffer to produce -- so MINT inherits PARFM's
 secure-RAAIMT derivation while shrinking tracker storage from
@@ -20,13 +22,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.mitigations.compose import (
-    ComposedMitigation,
-    RfmTrrSampled,
-    Scope,
-    TrackerSpec,
-)
+from repro.mitigations.compose import ComposedMitigation, RfmTrrSampled
 from repro.mitigations.parfm import parfm_raaimt
+from repro.mitigations.trackers import MintSampler
 from repro.utils.rng import RandomSource, SystemRng
 
 
@@ -48,17 +46,17 @@ class Mint(ComposedMitigation):
                  rng: Optional[RandomSource] = None):
         if raaimt <= 0:
             raise ValueError("raaimt must be positive")
-        if blast_radius < 1:
-            raise ValueError("blast_radius must be >= 1")
         self._raaimt = raaimt
         self.blast_radius = blast_radius
         self.rng = rng or SystemRng(0x317A)
         super().__init__(
-            tracker=TrackerSpec.of("mint", window=raaimt, rng=self.rng),
             policy=RfmTrrSampled(blast_radius),
-            scope=Scope(per="bank", reset="rfm"),
+            reset="rfm",
             name=f"MINT-r{raaimt}-b{blast_radius}",
         )
+
+    def make_tracker(self) -> MintSampler:
+        return MintSampler(self._raaimt, self.rng)
 
     @classmethod
     def for_hcnt(cls, hcnt: int, blast_radius: int = 1,

@@ -1,6 +1,7 @@
 """Mithril: CbS-tracked TRR over the RFM interface (Kim et al., HPCA 2022).
 
-Composition: ``counter-summary x rfm-trr-hottest x bank``.
+Composition: :class:`~repro.mitigations.trackers.CounterSummary` x
+:class:`~repro.mitigations.compose.RfmTrrHottest`, never reset.
 
 Each bank carries a Counter-based Summary (CbS) table; on every RFM the
 device refreshes the neighbours of the hottest tracked row and settles
@@ -19,12 +20,8 @@ blast-derated RAAIMT.
 
 from __future__ import annotations
 
-from repro.mitigations.compose import (
-    ComposedMitigation,
-    RfmTrrHottest,
-    Scope,
-    TrackerSpec,
-)
+from repro.mitigations.compose import ComposedMitigation, RfmTrrHottest
+from repro.mitigations.trackers import CounterSummary
 from repro.rowhammer.model import blast_weight_sum
 
 
@@ -39,15 +36,16 @@ class Mithril(ComposedMitigation):
             raise ValueError("table_entries must be positive")
         self._raaimt = raaimt
         self.table_entries = table_entries
-        self.blast_radius = max(1, blast_radius)
+        self.blast_radius = blast_radius
         self.variant = variant
         super().__init__(
-            tracker=TrackerSpec.of("counter-summary", entries=table_entries),
-            policy=RfmTrrHottest(self.blast_radius),
-            scope=Scope(per="bank"),
+            policy=RfmTrrHottest(blast_radius),
             name=(f"Mithril-{variant}-r{raaimt}-e{table_entries}"
-                  f"-b{self.blast_radius}"),
+                  f"-b{blast_radius}"),
         )
+
+    def make_tracker(self) -> CounterSummary:
+        return CounterSummary(self.table_entries)
 
     @property
     def uses_rfm(self) -> bool:

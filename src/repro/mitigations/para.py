@@ -1,7 +1,8 @@
 """PARA: probabilistic adjacent-row activation (Kim et al., ISCA 2014).
 
-Composition: ``none x trr-probabilistic x bank`` -- the degenerate
-corner of the tracker/policy/scope space: no tracker at all.
+Composition: no tracker x
+:class:`~repro.mitigations.compose.ProbabilisticTrr` -- the degenerate
+corner of the tracker/policy space (``make_tracker()`` stays None).
 
 Stateless TRR: on every ACT, with probability ``p`` the device refreshes
 one neighbour of the activated row (a side chosen at random).  With
@@ -18,12 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.mitigations.compose import (
-    ComposedMitigation,
-    ProbabilisticTrr,
-    Scope,
-    TrackerSpec,
-)
+from repro.mitigations.compose import ComposedMitigation, ProbabilisticTrr
 from repro.utils.rng import RandomSource, SystemRng
 
 
@@ -51,8 +47,6 @@ class Para(ComposedMitigation):
         self.blast_radius = blast_radius
         self.rng = rng or SystemRng(0xBA5E)
         super().__init__(
-            tracker=TrackerSpec.of("none"),
             policy=ProbabilisticTrr(probability, blast_radius),
-            scope=Scope(per="bank"),
             name=f"PARA-p{probability:.2g}",
         )

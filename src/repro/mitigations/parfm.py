@@ -1,6 +1,7 @@
 """PARFM: PARA hosted on the RFM interface (paper Section VII-C).
 
-Composition: ``recent-history x rfm-trr-sampled x bank``.
+Composition: :class:`~repro.mitigations.trackers.RecentHistory` x
+:class:`~repro.mitigations.compose.RfmTrrSampled`, never reset.
 
 On every RFM command the device refreshes the neighbours of one row
 sampled uniformly from the RAAIMT rows activated since the previous RFM.
@@ -22,12 +23,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.mitigations.compose import (
-    ComposedMitigation,
-    RfmTrrSampled,
-    Scope,
-    TrackerSpec,
-)
+from repro.mitigations.compose import ComposedMitigation, RfmTrrSampled
+from repro.mitigations.trackers import RecentHistory
 from repro.rowhammer.model import blast_weight_sum
 from repro.utils.rng import RandomSource, SystemRng
 
@@ -62,17 +59,16 @@ class Parfm(ComposedMitigation):
                  rng: Optional[RandomSource] = None):
         if raaimt <= 0:
             raise ValueError("raaimt must be positive")
-        if blast_radius < 1:
-            raise ValueError("blast_radius must be >= 1")
         self._raaimt = raaimt
         self.blast_radius = blast_radius
         self.rng = rng or SystemRng(0x9A7F)
         super().__init__(
-            tracker=TrackerSpec.of("recent-history", depth=raaimt),
             policy=RfmTrrSampled(blast_radius),
-            scope=Scope(per="bank"),
             name=f"PARFM-r{raaimt}-b{blast_radius}",
         )
+
+    def make_tracker(self) -> RecentHistory:
+        return RecentHistory(self._raaimt, self.rng)
 
     @classmethod
     def for_hcnt(cls, hcnt: int, blast_radius: int = 1,

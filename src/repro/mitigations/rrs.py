@@ -1,8 +1,9 @@
 """Randomized Row-Swap (Saileshwar et al., ASPLOS 2022).
 
-Composition: ``misra-gries x row-swap x bank`` -- with the swap policy
-(and its indirection-table state) defined here, next to the scheme: the
-one-file pattern a new action-policy mitigation follows.
+Composition: :class:`~repro.mitigations.trackers.MisraGries` x
+:class:`RowSwapPolicy`, never reset -- with the swap policy (and its
+indirection-table state) defined here, next to the scheme: the one-file
+pattern a new action-policy mitigation follows.
 
 The state-of-the-art row-shuffle *competitor* to SHADOW: a Misra-Gries
 tracker at the MC samples hot rows; when a row's count crosses the swap
@@ -23,13 +24,8 @@ from typing import Dict, Optional
 
 from repro.dram.device import BankAddress
 from repro.mitigations.base import ActOutcome
-from repro.mitigations.compose import (
-    ActionPolicy,
-    ComposedMitigation,
-    Scope,
-    TrackerSpec,
-)
-from repro.spec.registry import POLICIES
+from repro.mitigations.compose import ActionPolicy, ComposedMitigation
+from repro.mitigations.trackers import MisraGries
 from repro.utils.rng import RandomSource, SystemRng
 
 
@@ -76,13 +72,10 @@ class _BankIndirection:
         return len(self._forward)
 
 
-@POLICIES.register("row-swap")
 class RowSwapPolicy(ActionPolicy):
     """Swap a threshold-crossing row with a uniformly random partner
     through the bank's indirection table, blocking the channel for the
-    two-row stream.  Per-scope state is the indirection table."""
-
-    kind = "row-swap"
+    two-row stream.  Per-bank state is the indirection table."""
 
     def __init__(self, threshold: int, swap_latency_ns: float = 4000.0):
         if threshold < 1:
@@ -136,10 +129,8 @@ class RandomizedRowSwap(ComposedMitigation):
         self.config = config
         self.rng = rng or SystemRng(0x5A5A)
         super().__init__(
-            tracker=TrackerSpec.of("misra-gries", entries=self._entries_for),
             policy=RowSwapPolicy(config.swap_threshold,
                                  config.swap_latency_ns),
-            scope=Scope(per="bank"),
             name=f"RRS-h{config.hcnt}",
         )
         self.swaps = 0
@@ -149,12 +140,13 @@ class RandomizedRowSwap(ComposedMitigation):
                  rng: Optional[RandomSource] = None) -> "RandomizedRowSwap":
         return cls(RrsConfig(hcnt=hcnt), rng)
 
-    def _entries_for(self, geometry, timing) -> int:
-        if self.config.table_entries is not None:
-            return self.config.table_entries
-        # Misra-Gries sizing: worst-case ACTs per window / threshold.
-        acts_per_window = timing.tREFW // timing.tRC
-        return max(16, acts_per_window // self.config.swap_threshold)
+    def make_tracker(self) -> MisraGries:
+        entries = self.config.table_entries
+        if entries is None:
+            # Misra-Gries sizing: worst-case ACTs per window / threshold.
+            acts_per_window = self.timing.tREFW // self.timing.tRC
+            entries = max(16, acts_per_window // self.config.swap_threshold)
+        return MisraGries(entries)
 
     # -- address translation ----------------------------------------------------
 
@@ -163,5 +155,5 @@ class RandomizedRowSwap(ComposedMitigation):
         return self._state(addr).policy.translate(pa_row)
 
     def translation_generation(self, addr: BankAddress) -> int:
-        state = self._peek_state(addr)
+        state = self._states.get(addr)
         return state.policy.swap_count if state is not None else 0

@@ -143,17 +143,6 @@ class Registry:
 #: and comparison schemes; ``repro.core`` registers the SHADOW variants.
 SCHEMES = Registry("scheme", providers=("repro.mitigations", "repro.core"))
 
-#: Tracker structures for the tracker x policy x scope composition
-#: layer (``repro.mitigations.compose``).  Loading the mitigation
-#: package registers the generic adapters plus any scheme-private
-#: trackers defined next to their scheme (the one-file-mitigation rule).
-TRACKERS = Registry("tracker", providers=("repro.mitigations",))
-
-#: Action policies -- the Section III mitigating-action taxonomy
-#: (synchronous TRR, RFM-hosted TRR, throttling, row swaps) that
-#: composed mitigations bind a tracker to.
-POLICIES = Registry("policy", providers=("repro.mitigations",))
-
 #: Workload-profile factories (each returns a tuple of profiles).
 WORKLOADS = Registry("workload", providers=("repro.workloads",))
 
@@ -167,11 +156,9 @@ FAULT_POLICIES = Registry("fault policy", providers=("repro.faults",))
 
 __all__ = [
     "FAULT_POLICIES",
-    "POLICIES",
     "Registry",
     "SCHEMES",
     "TIMINGS",
-    "TRACKERS",
     "UnknownNameError",
     "WORKLOADS",
 ]

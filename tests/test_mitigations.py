@@ -303,3 +303,32 @@ class TestDeclaredHooks:
         m.on_ref(ADDR, 0, 8, 2)
         assert m.tracker_occupancy() == 0
         assert m.tracker_resets == 1
+
+
+#: Every registered scheme whose factory takes a blast ``radius``.
+RADIUS_SCHEMES = [n for n in SCHEMES.names()
+                  if "radius" in SCHEMES.buildable_params(n, {"radius": 1})]
+
+
+class TestBlastRadiusValidation:
+    """A radius below 1 raises rather than silently simulating radius 1
+    (a spec whose digest says radius 0 must not run as radius 1)."""
+
+    def test_radius_schemes_are_the_rfm_trackers(self):
+        assert set(RADIUS_SCHEMES) == {
+            "dapper", "mint", "mithril-area", "mithril-perf", "parfm"}
+
+    @pytest.mark.parametrize("radius", [0, -2])
+    @pytest.mark.parametrize("name", RADIUS_SCHEMES)
+    def test_registry_rejects_radius_below_one(self, name, radius):
+        with pytest.raises(ValueError, match="blast_radius"):
+            SCHEMES.build(name, hcnt=4096, radius=radius)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Graphene(hcnt=4096, blast_radius=0),
+        lambda: Mithril(raaimt=8, table_entries=8, blast_radius=0),
+        lambda: BlockHammerConfig(hcnt=4096, blast_radius=0),
+    ], ids=["graphene", "mithril", "blockhammer"])
+    def test_constructors_reject_radius_below_one(self, build):
+        with pytest.raises(ValueError, match="blast_radius"):
+            build()
