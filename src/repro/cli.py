@@ -6,9 +6,10 @@ script) bundles the common flows:
 * ``run``       -- simulate a workload under a chosen mitigation
 * ``attack``    -- drive a Row Hammer pattern and report flips
 * ``security``  -- evaluate the Appendix XI bounds for a configuration
-* ``experiment``-- run a paper table/figure driver by name
+* ``experiment``-- run a paper table/figure by name, print and save it
+* ``redteam``   -- replay the adversary suite against every scheme
 * ``templating``-- templating campaign (static vs SHADOW)
-* ``bench``     -- pinned scheduler benchmarks (throughput + profiling)
+* ``bench``     -- pinned scheduler benchmarks
 * ``stats``     -- run a workload with metrics on and print the summary
 * ``trace``     -- export a run as a Chrome/Perfetto or JSONL trace
 """
@@ -17,9 +18,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
-from repro.analysis.security import SecurityAnalysis, SecurityParams
 from repro.rowhammer.templating import TemplatingCampaign
 from repro.sim import System, SystemConfig
 from repro.spec import scheme_spec, workload_spec
@@ -71,33 +71,45 @@ def resolve_profiles(workload: str, threads: int):
         raise SystemExit(str(exc)) from None
 
 
-def _run_spec_file(args) -> int:
-    """Run a serialized ExperimentSpec through the generic driver."""
-    import json
+def run_experiment(args, save_as: str, run: Callable[..., Dict],
+                   render: Optional[Callable[[Dict], str]] = None) -> int:
+    """The one path every experiment runs, renders and saves through.
 
-    from repro.experiments.driver import run_spec
+    Builds the engine from the shared engine flags, calls
+    ``run(engine)``, lists any failed jobs, prints ``render(results)``
+    only when none failed (a keep-going run has holes in its series),
+    then the engine summary, and saves ``results/<save_as>.json``.
+    Returns the exit code: 1 if any job failed.
+    """
     from repro.experiments.engine import Engine
     from repro.experiments.report import report_failures, save_results
-    from repro.spec import ExperimentSpec
 
-    with open(args.spec) as handle:
-        spec = ExperimentSpec.from_dict(json.load(handle))
     engine = Engine(jobs=args.jobs, use_cache=not args.no_cache,
                     retries=args.retries, job_timeout=args.job_timeout,
                     keep_going=args.keep_going)
-    results = run_spec(spec, engine=engine)
-    print(f"experiment={spec.name} fidelity={spec.fidelity} "
-          f"points={len(spec.points)}")
-    report_failures(engine)
+    results = run(engine)
+    if not report_failures(engine) and render is not None:
+        print(render(results))
     print("engine:", engine.stats.summary())
-    print("saved:", save_results(f"{spec.name}_{spec.fidelity}", results))
+    print("saved:", save_results(save_as, results))
     return 1 if engine.failures else 0
 
 
 def cmd_run(args) -> int:
     """Handle ``shadow-repro run``."""
     if args.spec:
-        return _run_spec_file(args)
+        import json
+
+        from repro.experiments.driver import run_spec
+        from repro.spec import ExperimentSpec
+
+        with open(args.spec) as handle:
+            spec = ExperimentSpec.from_dict(json.load(handle))
+        print(f"experiment={spec.name} fidelity={spec.fidelity} "
+              f"points={len(spec.points)}")
+        return run_experiment(
+            args, f"{spec.name}_{spec.fidelity}",
+            lambda engine: run_spec(spec, engine=engine))
     profiles = resolve_profiles(args.workload, args.threads)
     mitigation = make_scheme(args.scheme, args.hcnt)
     config = SystemConfig(requests_per_thread=args.requests,
@@ -254,8 +266,8 @@ def cmd_templating(args) -> int:
 def cmd_bench(args) -> int:
     """Handle ``shadow-repro bench`` (exit 1 on a baseline regression)."""
     from repro.bench import (
-        BENCH_PROFILES, check_overhead, check_regression, load_report,
-        run_bench, run_overhead, write_report)
+        check_overhead, check_regression, load_report, run_bench,
+        run_overhead, write_report)
 
     names = args.profiles or None
     variant = "quick" if args.quick else "full"
@@ -345,26 +357,23 @@ def cmd_bench(args) -> int:
 def cmd_redteam(args) -> int:
     """Handle ``shadow-repro redteam`` (adversary suite x scheme zoo)."""
     from repro.experiments import redteam
-    from repro.experiments.engine import Engine
-    from repro.experiments.report import report_failures, save_results
-    engine = Engine(jobs=args.jobs, use_cache=not args.no_cache,
-                    retries=args.retries, job_timeout=args.job_timeout,
-                    keep_going=args.keep_going)
-    report = redteam.run(args.fidelity, engine=engine, hcnt=args.hcnt,
-                         policy=args.policy, seed=args.seed,
-                         schemes=args.schemes or None,
-                         attacks=args.attacks or None)
-    report_failures(engine)
-    print(redteam.render(report))
-    print("engine:", engine.stats.summary())
-    print("saved:", save_results(f"redteam_{args.fidelity}", report))
-    return 1 if engine.failures else 0
+    return run_experiment(
+        args, f"redteam_{args.fidelity}",
+        lambda engine: redteam.run(
+            args.fidelity, engine=engine, hcnt=args.hcnt,
+            policy=args.policy, seed=args.seed,
+            schemes=args.schemes or None, attacks=args.attacks or None),
+        redteam.render)
 
 
-#: Drivers that run on the experiment engine and take its flags.
-ENGINE_EXPERIMENTS = frozenset(
-    ["fig8", "fig9", "fig10", "fig11", "fig12", "ablations", "extended",
-     "redteam"])
+#: Every ``experiment`` name: a module in :mod:`repro.experiments` with
+#: ``spec``, ``run`` and ``render``.
+EXPERIMENTS = ("table2", "table3", "fig8", "fig9", "fig10", "fig11",
+               "fig12", "ablations", "extended", "redteam")
+
+#: Closed-form tables: no engine jobs, so no engine flags, and saved
+#: without a fidelity suffix.
+ANALYTIC_EXPERIMENTS = frozenset(["table2", "table3"])
 
 
 def cmd_experiment(args) -> int:
@@ -376,35 +385,32 @@ def cmd_experiment(args) -> int:
         if not hasattr(module, "spec"):
             raise SystemExit(
                 f"{args.name} does not define a declarative spec")
-        spec = (module.spec(args.fidelity) if args.fidelity
-                else module.spec())
-        print(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(module.spec(args.fidelity).to_dict(), indent=2,
+                         sort_keys=True))
         return 0
-    argv = [args.fidelity] if args.fidelity else []
-    engine_flags_used = (args.jobs != 1 or args.no_cache or args.retries
-                         or args.job_timeout is not None or args.keep_going)
-    if args.name in ENGINE_EXPERIMENTS:
-        if args.jobs != 1:
-            argv += ["--jobs", str(args.jobs)]
-        if args.no_cache:
-            argv.append("--no-cache")
-        if args.retries:
-            argv += ["--retries", str(args.retries)]
-        if args.job_timeout is not None:
-            argv += ["--job-timeout", str(args.job_timeout)]
-        if args.keep_going:
-            argv.append("--keep-going")
-    elif engine_flags_used:
-        raise SystemExit(f"--jobs/--no-cache/--retries/--job-timeout/"
-                         f"--keep-going only apply to "
-                         f"{sorted(ENGINE_EXPERIMENTS)}")
-    sys.argv = [args.name] + argv
-    module.main()
-    return 0
+    save_as = f"{args.name}_{args.fidelity}"
+    if args.name in ANALYTIC_EXPERIMENTS:
+        if (args.jobs != 1 or args.no_cache or args.retries
+                or args.job_timeout is not None or args.keep_going):
+            raise SystemExit(
+                f"--jobs/--no-cache/--retries/--job-timeout/--keep-going "
+                f"only apply to "
+                f"{sorted(set(EXPERIMENTS) - ANALYTIC_EXPERIMENTS)}")
+        save_as = args.name
+    return run_experiment(
+        args, save_as,
+        lambda engine: module.run(args.fidelity, engine=engine),
+        module.render)
 
 
-def _add_fault_tolerance_flags(parser, scope: str) -> None:
-    """The engine's failure-handling knobs, shared by run/experiment."""
+def _add_engine_flags(parser, scope: str) -> None:
+    """The experiment engine's flags, shared by run/experiment/redteam."""
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help=f"worker processes {scope} (default: 1, "
+                             f"run inline)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help=f"bypass the persistent result cache "
+                             f"{scope}")
     parser.add_argument("--retries", type=int, default=0, metavar="N",
                         help=f"retry each failing job up to N times with "
                              f"exponential backoff {scope} (default: 0)")
@@ -449,11 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run an ExperimentSpec JSON file through the "
                             "generic driver instead (see 'experiment "
                             "--dump-spec')")
-    run_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for --spec runs")
-    run_p.add_argument("--no-cache", action="store_true",
-                       help="bypass the result cache for --spec runs")
-    _add_fault_tolerance_flags(run_p, "for --spec runs")
+    _add_engine_flags(run_p, "for --spec runs")
     run_p.set_defaults(func=cmd_run)
 
     stats_p = sub.add_parser(
@@ -522,20 +524,16 @@ def build_parser() -> argparse.ArgumentParser:
     tmpl_p.add_argument("--seed", type=int, default=1)
     tmpl_p.set_defaults(func=cmd_templating)
 
-    exp_p = sub.add_parser("experiment", help="run a table/figure driver")
-    exp_p.add_argument("name", choices=["table2", "table3", "fig8",
-                                        "fig9", "fig10", "fig11",
-                                        "fig12", "ablations", "extended",
-                                        "redteam"])
-    exp_p.add_argument("fidelity", nargs="?", choices=["smoke", "full"])
-    exp_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help=f"worker processes for engine-backed drivers "
-                            f"({', '.join(sorted(ENGINE_EXPERIMENTS))})")
-    exp_p.add_argument("--no-cache", action="store_true",
-                       help="bypass the persistent result cache")
-    _add_fault_tolerance_flags(exp_p, "for engine-backed drivers")
+    exp_p = sub.add_parser(
+        "experiment", help="run, print and save a paper table/figure")
+    exp_p.add_argument("name", choices=EXPERIMENTS)
+    exp_p.add_argument("fidelity", nargs="?", default="full",
+                       choices=["smoke", "full"],
+                       help="run scale, also for --dump-spec "
+                            "(default: full)")
+    _add_engine_flags(exp_p, "for engine-backed experiments")
     exp_p.add_argument("--dump-spec", action="store_true",
-                       help="print the driver's ExperimentSpec as JSON "
+                       help="print the experiment's ExperimentSpec as JSON "
                             "instead of running it (feed to 'run --spec')")
     exp_p.set_defaults(func=cmd_experiment)
 
@@ -608,11 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="ATTACK",
                            help=f"restrict to these attacks (choices: "
                                 f"{', '.join(FULL_ATTACKS)})")
-    redteam_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="worker processes (default: 1)")
-    redteam_p.add_argument("--no-cache", action="store_true",
-                           help="bypass the persistent result cache")
-    _add_fault_tolerance_flags(redteam_p, "for the attack grid")
+    _add_engine_flags(redteam_p, "for the attack grid")
     redteam_p.set_defaults(func=cmd_redteam)
 
     return parser

@@ -35,10 +35,6 @@ class MemoryRequest:
     da_generation: int = -1
 
     @property
-    def is_read(self) -> bool:
-        return not self.is_write
-
-    @property
     def latency(self) -> Optional[int]:
         if self.completed is None:
             return None

@@ -74,9 +74,6 @@ class Bank:
 
     # -- queries --------------------------------------------------------------
 
-    def is_open(self, row: int) -> bool:
-        return self.open_row == row
-
     def earliest_issue(self, kind: CommandType, cycle: int) -> int:
         """Earliest cycle >= ``cycle`` this command could legally issue.
 

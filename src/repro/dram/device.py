@@ -74,10 +74,6 @@ class DramGeometry:
         """MC-addressable rows per bank."""
         return self.layout.mc_rows_per_bank
 
-    @property
-    def total_mc_rows(self) -> int:
-        return self.total_banks * self.rows_per_bank
-
     def bank_addresses(self) -> Iterator[BankAddress]:
         for ch in range(self.channels):
             for rk in range(self.ranks_per_channel):

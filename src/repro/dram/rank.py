@@ -68,16 +68,6 @@ class RankTiming:
         self._group_last_act[group] = cycle
         act_times.append(cycle)
 
-    def faw_occupancy(self, cycle: int) -> int:
-        """ACTs currently inside this rank's tFAW window (0..4).
-
-        Read-only observability helper: 4 means the four-activate window
-        is saturated and the next ACT waits on the oldest entry to age
-        out.  Never mutates the tracker.
-        """
-        floor = cycle - self._t.tFAW
-        return sum(1 for t in self._act_times if t > floor)
-
     # -- column commands ------------------------------------------------------------
 
     def earliest_column(self, cycle: int, group: int = 0) -> int:

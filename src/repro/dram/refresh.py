@@ -36,10 +36,6 @@ class RefreshTracker:
         self.next_due = self.timing.tREFI
         self.refs_issued = 0
 
-    @property
-    def rows_per_ref(self) -> int:
-        return self._rows_per_ref
-
     def is_due(self, cycle: int) -> bool:
         return cycle >= self.next_due
 

@@ -123,9 +123,6 @@ class TimingParams:
     def with_raaimt(self, raaimt: int) -> "TimingParams":
         return replace(self, raaimt=raaimt)
 
-    def with_trfm(self, trfm: int) -> "TimingParams":
-        return replace(self, tRFM=trfm)
-
 
 def _make_ddr4_2666() -> TimingParams:
     tck = 0.75

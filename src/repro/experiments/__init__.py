@@ -1,11 +1,13 @@
 """Experiment drivers: one module per paper table/figure.
 
 Every module exposes ``spec(fidelity)`` returning the figure as a
-declarative :class:`~repro.spec.ExperimentSpec`, ``run(fidelity)``
-executing it through the generic driver (:func:`run_spec`) into a plain
-dict of the rows/series the paper reports, and a ``main()`` console
-entry point (wired in ``pyproject.toml`` as ``shadow-table2`` ...
-``shadow-fig12``).
+declarative :class:`~repro.spec.ExperimentSpec`, ``run(fidelity,
+engine=None)`` executing it through the generic driver
+(:func:`run_spec`) into a plain dict of the rows/series the paper
+reports, and ``render(results)`` formatting that dict as the printed
+table.  ``shadow-repro experiment <name> [smoke|full]`` runs, renders
+and saves any of them (``redteam`` builds its job grid directly rather
+than through a spec).
 
 ``fidelity`` selects the run scale:
 

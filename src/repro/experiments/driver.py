@@ -20,15 +20,14 @@ This module interprets that data:
 Metrics live in a registry of their own (:data:`METRICS`): the
 simulation ratios and run counts are defined here, the closed-form
 analytic metrics register from the modules that own their models
-(``table2``, ``table3``, ``ablations``).  Because specs are plain data, ``run_spec`` accepts a
-spec rehydrated from JSON just as happily as one built in code --
-``python -m repro.experiments.driver grid.json`` runs a serialized
-experiment end to end.
+(``table2``, ``table3``, ``ablations``).  Because specs are plain data,
+``run_spec`` accepts a spec rehydrated from JSON just as happily as one
+built in code -- ``shadow-repro run --spec grid.json`` runs a
+serialized experiment end to end.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -217,8 +216,8 @@ def _insert(output: Dict[str, Any], path: Tuple[str, ...],
     node[path[-1]] = value
 
 
-def run_spec(spec: ExperimentSpec, engine: Optional[Engine] = None,
-             jobs: int = 1) -> Dict:
+def run_spec(spec: ExperimentSpec,
+             engine: Optional[Engine] = None) -> Dict:
     """Interpret one experiment spec; returns the figure's result dict.
 
     The result starts from ``{"experiment": name, "fidelity": fidelity}``
@@ -234,7 +233,7 @@ def run_spec(spec: ExperimentSpec, engine: Optional[Engine] = None,
     the skipped group paths -- so a driver gets partial results and a
     structured report instead of a mid-sweep traceback.
     """
-    engine = engine or Engine(jobs=jobs)
+    engine = engine or Engine()
 
     # Resolve specs to simulator objects once per distinct spec: the
     # grids reuse a handful of workloads/configs across hundreds of
@@ -302,48 +301,10 @@ def run_spec(spec: ExperimentSpec, engine: Optional[Engine] = None,
     return output
 
 
-def main(argv: Optional[List[str]] = None) -> None:
-    """Run a serialized experiment spec: ``driver SPEC.json``."""
-    import argparse
-    from repro.experiments.report import report_failures, save_results
-    parser = argparse.ArgumentParser(
-        prog="driver", description="run a serialized experiment spec")
-    parser.add_argument("spec", help="path to an ExperimentSpec JSON file")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (default: 1, run inline)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not write results/.cache")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="retry each failing job up to N times with "
-                             "exponential backoff (default: 0)")
-    parser.add_argument("--job-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="kill any single job running longer than "
-                             "this (worker pools only; default: none)")
-    parser.add_argument("--keep-going", action="store_true",
-                        help="record failed jobs and finish with partial "
-                             "results instead of aborting")
-    args = parser.parse_args(argv)
-    with open(args.spec) as handle:
-        spec = ExperimentSpec.from_dict(json.load(handle))
-    engine = Engine(jobs=args.jobs, use_cache=not args.no_cache,
-                    retries=args.retries, job_timeout=args.job_timeout,
-                    keep_going=args.keep_going)
-    results = run_spec(spec, engine=engine)
-    report_failures(engine)
-    print("engine:", engine.stats.summary())
-    print("saved:", save_results(f"{spec.name}_{spec.fidelity}", results))
-
-
 __all__ = [
     "AnalyticMetric",
     "METRICS",
     "ResolvedPoint",
     "command_counts",
-    "main",
     "run_spec",
 ]
-
-
-if __name__ == "__main__":
-    main()

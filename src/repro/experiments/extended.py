@@ -24,13 +24,7 @@ from typing import Dict, List, Optional
 from repro.experiments.configs import DEFAULT_HCNT, fidelity_config
 from repro.experiments.driver import run_spec
 from repro.experiments.engine import Engine
-from repro.experiments.report import (
-    driver_arg_parser,
-    engine_from_args,
-    format_table,
-    report_failures,
-    save_results,
-)
+from repro.experiments.report import format_table
 from repro.spec import ExperimentSpec, PointSpec, scheme_spec, workload_spec
 from repro.spec.registry import SCHEMES
 
@@ -87,30 +81,18 @@ def spec(fidelity: str = "smoke",
     return ExperimentSpec("extended", fidelity, points, meta={"hcnt": hcnt})
 
 
-def run(fidelity: str = "smoke", jobs: int = 1,
-        engine: Optional[Engine] = None, hcnt: int = DEFAULT_HCNT) -> Dict:
+def run(fidelity: str = "smoke", engine: Optional[Engine] = None,
+        hcnt: int = DEFAULT_HCNT) -> Dict:
     """Run the all-schemes comparison; returns the result dict."""
-    return run_spec(spec(fidelity, hcnt), engine=engine, jobs=jobs)
+    return run_spec(spec(fidelity, hcnt), engine=engine)
 
 
-def main() -> None:
-    """Console entry point: print the comparison table."""
-    args = driver_arg_parser("extended").parse_args()
-    engine = engine_from_args(args)
-    results = run(args.fidelity, jobs=args.jobs, engine=engine)
-    if not report_failures(engine):
-        table = [[name, vals["relative_performance"], vals["rfms"],
-                  vals["rfms_filtered"]]
-                 for name, vals in results["schemes"].items()]
-        print(format_table(
-            ["scheme", "rel. perf", "RFMs", "RFMs filtered"], table,
-            title=f"Extended comparison on mix-blend "
-                  f"(Hcnt={results['hcnt']}, {args.fidelity})"))
-    print("engine:", engine.stats.summary())
-    print("saved:", save_results(f"extended_{args.fidelity}", results))
-    if engine.failures:
-        raise SystemExit(1)
-
-
-if __name__ == "__main__":
-    main()
+def render(results: Dict) -> str:
+    """The comparison as one row per scheme."""
+    table = [[name, vals["relative_performance"], vals["rfms"],
+              vals["rfms_filtered"]]
+             for name, vals in results["schemes"].items()]
+    return format_table(
+        ["scheme", "rel. perf", "RFMs", "RFMs filtered"], table,
+        title=f"Extended comparison on mix-blend "
+              f"(Hcnt={results['hcnt']}, {results['fidelity']})")

@@ -18,13 +18,7 @@ from typing import Dict, Optional
 from repro.experiments.configs import fidelity_config
 from repro.experiments.driver import run_spec
 from repro.experiments.engine import Engine
-from repro.experiments.report import (
-    driver_arg_parser,
-    engine_from_args,
-    format_table,
-    report_failures,
-    save_results,
-)
+from repro.experiments.report import format_table
 from repro.spec import ExperimentSpec, PointSpec, scheme_spec, workload_spec
 
 RADII = (1, 2, 3, 4, 5)
@@ -58,30 +52,18 @@ def spec(fidelity: str = "smoke", hcnt: int = FIXED_HCNT) -> ExperimentSpec:
 
 
 def run(fidelity: str = "smoke", hcnt: int = FIXED_HCNT,
-        jobs: int = 1, engine: Optional[Engine] = None) -> Dict:
+        engine: Optional[Engine] = None) -> Dict:
     """Run the experiment; returns the figure's series as a dict."""
-    return run_spec(spec(fidelity, hcnt), engine=engine, jobs=jobs)
+    return run_spec(spec(fidelity, hcnt), engine=engine)
 
 
-def main() -> None:
-    """Console entry point: print the regenerated figure series."""
-    args = driver_arg_parser("fig10").parse_args()
-    engine = engine_from_args(args)
-    results = run(args.fidelity, jobs=args.jobs, engine=engine)
-    if not report_failures(engine):
-        radii = results["radii"]
-        rows = [[key] + [vals[str(r)] for r in radii]
-                for key, vals in results["series"].items()]
-        print(format_table(
-            ["series"] + [f"radius={r}" for r in radii], rows,
-            title=f"Figure 10: blast-radius sensitivity, weighted "
-                  f"speedup relative to baseline (Hcnt={results['hcnt']}, "
-                  f"{args.fidelity})"))
-    print("engine:", engine.stats.summary())
-    print("saved:", save_results(f"fig10_{args.fidelity}", results))
-    if engine.failures:
-        raise SystemExit(1)
-
-
-if __name__ == "__main__":
-    main()
+def render(results: Dict) -> str:
+    """The figure's series as a series x radius table."""
+    radii = results["radii"]
+    rows = [[key] + [vals[str(r)] for r in radii]
+            for key, vals in results["series"].items()]
+    return format_table(
+        ["series"] + [f"radius={r}" for r in radii], rows,
+        title=f"Figure 10: blast-radius sensitivity, weighted "
+              f"speedup relative to baseline (Hcnt={results['hcnt']}, "
+              f"{results['fidelity']})")

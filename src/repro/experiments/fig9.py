@@ -15,13 +15,7 @@ from typing import Dict, Optional
 from repro.experiments.configs import HCNT_SWEEP, fidelity_config
 from repro.experiments.driver import run_spec
 from repro.experiments.engine import Engine
-from repro.experiments.report import (
-    driver_arg_parser,
-    engine_from_args,
-    format_table,
-    report_failures,
-    save_results,
-)
+from repro.experiments.report import format_table
 from repro.spec import ExperimentSpec, PointSpec, scheme_spec, workload_spec
 
 TRCD_VALUES = (23, 25, 27)
@@ -46,30 +40,18 @@ def spec(fidelity: str = "smoke") -> ExperimentSpec:
     return ExperimentSpec("fig9", fidelity, points)
 
 
-def run(fidelity: str = "smoke", jobs: int = 1,
+def run(fidelity: str = "smoke",
         engine: Optional[Engine] = None) -> Dict:
     """Run the experiment; returns the figure's series as a dict."""
-    return run_spec(spec(fidelity), engine=engine, jobs=jobs)
+    return run_spec(spec(fidelity), engine=engine)
 
 
-def main() -> None:
-    """Console entry point: print the regenerated figure series."""
-    args = driver_arg_parser("fig9").parse_args()
-    engine = engine_from_args(args)
-    results = run(args.fidelity, jobs=args.jobs, engine=engine)
-    if not report_failures(engine):
-        hcnts = [str(h) for h in HCNT_SWEEP]
-        rows = [[key] + [vals[h] for h in hcnts]
-                for key, vals in results["series"].items()]
-        print(format_table(
-            ["series"] + [f"Hcnt={h}" for h in hcnts], rows,
-            title=f"Figure 9: SHADOW tRCD sensitivity, weighted speedup "
-                  f"relative to tRCD19 baseline ({args.fidelity})"))
-    print("engine:", engine.stats.summary())
-    print("saved:", save_results(f"fig9_{args.fidelity}", results))
-    if engine.failures:
-        raise SystemExit(1)
-
-
-if __name__ == "__main__":
-    main()
+def render(results: Dict) -> str:
+    """The figure's series as a series x H_cnt table."""
+    hcnts = [str(h) for h in HCNT_SWEEP]
+    rows = [[key] + [vals[h] for h in hcnts]
+            for key, vals in results["series"].items()]
+    return format_table(
+        ["series"] + [f"Hcnt={h}" for h in hcnts], rows,
+        title=f"Figure 9: SHADOW tRCD sensitivity, weighted speedup "
+              f"relative to tRCD19 baseline ({results['fidelity']})")

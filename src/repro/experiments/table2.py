@@ -11,11 +11,12 @@ driver plans no simulation jobs for them).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.analysis.security import SecurityAnalysis, SecurityParams
 from repro.experiments.driver import METRICS, AnalyticMetric, run_spec
-from repro.experiments.report import format_table, save_results, scientific
+from repro.experiments.engine import Engine
+from repro.experiments.report import format_table, scientific
 from repro.spec import ExperimentSpec, PointSpec
 
 RAAIMT_VALUES = (128, 64, 32)
@@ -63,15 +64,14 @@ def spec(fidelity: str = "full") -> ExperimentSpec:
     return ExperimentSpec("table2", fidelity, points)
 
 
-def run(fidelity: str = "full") -> Dict:
+def run(fidelity: str = "full", engine: Optional[Engine] = None) -> Dict:
     """Compute the grid; ``fidelity`` is accepted for interface parity
     (the analysis is closed-form and always runs at full accuracy)."""
-    return run_spec(spec(fidelity))
+    return run_spec(spec(fidelity), engine=engine)
 
 
-def main() -> None:
-    """Console entry point: print the regenerated Table II."""
-    results = run()
+def render(results: Dict) -> str:
+    """The RAAIMT x H_cnt grid beside the paper's values."""
     rows = []
     for raaimt in RAAIMT_VALUES:
         row = [raaimt]
@@ -81,12 +81,7 @@ def main() -> None:
             row.append(f"{scientific(cell['probability'])}{mark} "
                        f"(paper {cell['paper']})")
         rows.append(row)
-    print(format_table(
+    return format_table(
         ["RAAIMT", "Hcnt=8K", "Hcnt=4K", "Hcnt=2K"], rows,
         title="Table II: SHADOW bit-flip probability per DDR5 rank-year "
-              "(* = secure, <1%)"))
-    print("saved:", save_results("table2", results))
-
-
-if __name__ == "__main__":
-    main()
+              "(* = secure, <1%)")

@@ -11,11 +11,12 @@ per speed grade produces the Section VII-B totals.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.analysis.circuit import CircuitModel
 from repro.experiments.driver import METRICS, AnalyticMetric, run_spec
-from repro.experiments.report import format_table, save_results
+from repro.experiments.engine import Engine
+from repro.experiments.report import format_table
 from repro.spec import ExperimentSpec, PointSpec
 
 #: The published table for the comparison column.
@@ -68,14 +69,13 @@ def spec(fidelity: str = "full") -> ExperimentSpec:
     ))
 
 
-def run(fidelity: str = "full") -> Dict:
+def run(fidelity: str = "full", engine: Optional[Engine] = None) -> Dict:
     """Compute every Table III row; returns the result dict."""
-    return run_spec(spec(fidelity))
+    return run_spec(spec(fidelity), engine=engine)
 
 
-def main() -> None:
-    """Console entry point: print the regenerated Table III."""
-    results = run()
+def render(results: Dict) -> str:
+    """The timing rows beside the paper's, then the shuffle totals."""
     display = []
     for key, row in results["rows"].items():
         paper_t, paper_r = PAPER[key]
@@ -85,15 +85,11 @@ def main() -> None:
             f"{row['baseline_ns']:.1f}ns" if row["baseline_ns"] else "-",
             ratio, f"{paper_t}ns / {paper_r}",
         ])
-    print(format_table(
+    lines = [format_table(
         ["Definition", "Abbrev", "Timing", "Baseline", "Ratio", "Paper"],
         display, title="Table III: SHADOW timing values (analytical "
-                       "circuit model)"))
+                       "circuit model)")]
     for grade, ns in results["shuffle_total_ns"].items():
-        print(f"row-shuffle total @ {grade}: {ns:.0f} ns "
-              f"(paper: {178 if 'DDR4' in grade else 186} ns)")
-    print("saved:", save_results("table3", results))
-
-
-if __name__ == "__main__":
-    main()
+        lines.append(f"row-shuffle total @ {grade}: {ns:.0f} ns "
+                     f"(paper: {178 if 'DDR4' in grade else 186} ns)")
+    return "\n".join(lines)

@@ -70,8 +70,3 @@ class Mint(ComposedMitigation):
     @property
     def raaimt(self) -> int:
         return self._raaimt
-
-    def sampler_entries(self) -> int:
-        """Tracker storage per bank, in entries.  The headline number:
-        one, versus PARFM's RAAIMT-deep history."""
-        return 1

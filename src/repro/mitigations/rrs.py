@@ -67,10 +67,6 @@ class _BankIndirection:
         self._forward[pa_b] = da_a
         self.swap_count += 1
 
-    @property
-    def moved_rows(self) -> int:
-        return len(self._forward)
-
 
 class RowSwapPolicy(ActionPolicy):
     """Swap a threshold-crossing row with a uniformly random partner

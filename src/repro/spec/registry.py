@@ -26,21 +26,6 @@ class UnknownNameError(ValueError):
     """A name not present in a registry (carries a did-you-mean hint)."""
 
 
-def _source_identity(factory: Any):
-    """Where a factory's code lives: ``(qualname, source file)``.
-
-    A provider module executed as ``__main__`` (``python -m ...``) and
-    later imported under its canonical name registers *distinct* objects
-    compiled from the *same* source; those must not count as shadowing.
-    """
-    target = factory if inspect.isroutine(factory) else type(factory)
-    try:
-        filename = inspect.getfile(target)
-    except TypeError:
-        filename = None
-    return getattr(target, "__qualname__", None), filename
-
-
 class Registry:
     """A named factory table with lazy provider loading."""
 
@@ -58,16 +43,10 @@ class Registry:
 
         Re-registering a name with a different factory is an error --
         silent shadowing is exactly the divergence this layer removes.
-        The one tolerated duplicate is the same source re-imported under
-        another module name (``__main__`` vs canonical); the first
-        registration wins so lookups stay stable.
         """
         def _add(fn: Callable[..., Any]) -> Callable[..., Any]:
-            existing = self._entries.get(name)
-            if existing is None:
-                self._entries[name] = fn
-            elif (existing is not fn
-                  and _source_identity(existing) != _source_identity(fn)):
+            existing = self._entries.setdefault(name, fn)
+            if existing is not fn:
                 raise ValueError(
                     f"{self.kind} {name!r} is already registered")
             return fn

@@ -1,5 +1,9 @@
 """The shadow-repro CLI."""
 
+import importlib
+import json
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main, make_scheme, summary_lines
@@ -154,3 +158,83 @@ class TestObservabilityCommands:
         assert rc == 0
         events = read_jsonl(out_path)
         assert any(e["ph"] == "X" for e in events)
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+#: Every experiment with its committed result file and the first line
+#: its table starts with.
+COMMITTED = [
+    ("fig8", "fig8_smoke", "Figure 8: performance relative"),
+    ("fig9", "fig9_smoke", "Figure 9: SHADOW tRCD sensitivity"),
+    ("fig10", "fig10_smoke", "Figure 10: blast-radius sensitivity"),
+    ("fig11", "fig11_smoke", "Figure 11: SHADOW vs BlockHammer vs RRS"),
+    ("fig12", "fig12_smoke", "Figure 12: SHADOW relative system power"),
+    ("ablations", "ablations_smoke", "Ablation: timing charges"),
+    ("extended", "extended_smoke", "Extended comparison on mix-blend"),
+    ("redteam", "redteam_smoke", "Red team: Hcnt="),
+    ("table2", "table2", "Table II: SHADOW bit-flip probability"),
+    ("table3", "table3", "Table III: SHADOW timing values"),
+]
+
+
+class TestExperimentCommand:
+    """``experiment``, ``redteam`` and ``run --spec`` share one
+    run-report-render-save path."""
+
+    @pytest.mark.parametrize("name,result,title", COMMITTED,
+                             ids=[c[0] for c in COMMITTED])
+    def test_render_formats_committed_result(self, name, result, title):
+        module = importlib.import_module(f"repro.experiments.{name}")
+        with open(REPO / "results" / f"{result}.json") as handle:
+            results = json.load(handle)
+        lines = module.render(results).splitlines()
+        assert lines[0].startswith(title)
+        # Title, header, rule and at least one row.
+        assert len(lines) >= 4
+
+    def test_table3_regenerates_committed_result(self, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", "table3"]) == 0
+        saved = tmp_path / "results" / "table3.json"
+        assert saved.read_bytes() == (REPO / "results"
+                                      / "table3.json").read_bytes()
+        # stdout is the committed log plus the engine summary line.
+        out = [line for line in capsys.readouterr().out.splitlines()
+               if not line.startswith("engine: ")]
+        log = (REPO / "results" / "log_table3.txt").read_text()
+        assert out == log.splitlines()
+
+    def test_analytic_tables_reject_engine_flags(self):
+        with pytest.raises(SystemExit, match="only apply to"):
+            main(["experiment", "table2", "--jobs", "2"])
+
+    def test_dump_spec_and_run_share_default_fidelity(self, capsys):
+        assert build_parser().parse_args(
+            ["experiment", "fig12"]).fidelity == "full"
+        assert main(["experiment", "fig12", "--dump-spec"]) == 0
+        assert json.loads(capsys.readouterr().out)["fidelity"] == "full"
+
+    def test_redteam_defaults_to_smoke(self):
+        assert build_parser().parse_args(["redteam"]).fidelity == "smoke"
+
+    def test_run_spec_keep_going_failure_exits_nonzero(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.spec import (
+            ExperimentSpec, PointSpec, SimSpec, scheme_spec, workload_spec)
+        spec = ExperimentSpec("faulty", "smoke", [PointSpec(
+            "ws-relative", ("drr",),
+            workload=workload_spec("mix-high", threads=2),
+            scheme=scheme_spec("drr"), sim=SimSpec(requests=120, seed=7))])
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec.to_dict()))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "drr")
+        rc = main(["run", "--spec", str(path), "--no-cache",
+                   "--keep-going"])
+        assert rc == 1
+        assert any(line.startswith("FAILED: ")
+                   for line in capsys.readouterr().out.splitlines())
+        with open(tmp_path / "results" / "faulty_smoke.json") as handle:
+            assert "failures" in json.load(handle)

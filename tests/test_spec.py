@@ -177,25 +177,6 @@ class TestRegistryErrors:
         with pytest.raises(ValueError, match="already registered"):
             SCHEMES.register("shadow", lambda: None)
 
-    def test_reregistration_same_source_is_tolerated(self):
-        # A provider run as ``python -m ...`` registers from __main__,
-        # then the driver's lazy provider import registers the same
-        # source again under the canonical module name.  The first
-        # registration must win, silently.
-        from repro.spec.registry import Registry
-
-        class Thing:
-            def __call__(self):
-                return 1
-
-        registry = Registry("thing")
-        first, reimported = Thing(), Thing()
-        registry.register("t", first)
-        registry.register("t", reimported)
-        assert registry.resolve("t") is first
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("t", lambda: 2)
-
 
 class TestBuild:
     def test_scheme_spec_builds_fresh_instances(self):
