@@ -1,30 +1,23 @@
-"""Pinned scheduler benchmarks and the report/regression machinery.
+"""Pinned scheduler profiles and the two overhead gates.
 
 Every profile is fully seeded: the simulated outcome (cycles, command
-counts) is deterministic, so ``cycles / wall_seconds`` is a clean
-throughput metric for the command-level hot path.  Wall time is the only
-noisy quantity; ``repeats`` takes the best of N runs to suppress jitter.
-
-The report format (schema ``shadow-repro-bench/1``) keeps one entry per
-variant (``quick`` / ``full``) so CI's quick runs compare against the
-committed quick baseline rather than against full-length numbers.
+counts) is deterministic, so an on-vs-off wall-time ratio measured on
+one host isolates what the "on" leg adds -- full observability
+(:func:`run_overhead`) or an in-loop fault injector
+(:func:`run_fault_overhead`).  Throughput across commits is measured by
+``perfbench`` instead (see ``tools/perf_gate.py``).
 """
 
 from __future__ import annotations
 
-import json
-import platform
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.sim import System, SystemConfig
 from repro.spec import FaultSpec, SchemeSpec
 from repro.workloads.trace import WorkloadProfile
-
-SCHEMA = "shadow-repro-bench/1"
 
 #: Overhead-gate measurement shape: each timed block covers at least
 #: this much wall (fast profiles run several times per block), and the
@@ -32,9 +25,6 @@ SCHEMA = "shadow-repro-bench/1"
 _GATE_BLOCK_SECONDS = 0.25
 _GATE_MAX_INNER = 16
 _GATE_ROUNDS = 9
-
-#: Requests-per-thread divisor for the quick (CI) variant.
-QUICK_DIVISOR = 8
 
 # -- pinned workloads -----------------------------------------------------------
 
@@ -88,11 +78,9 @@ class BenchProfile:
     #: the simulated outcome, only wall time.
     faults: Optional[FaultSpec] = None
 
-    def build(self, quick: bool, obs=None, observer=None) -> System:
-        requests = self.requests_per_thread
-        if quick:
-            requests = max(64, requests // QUICK_DIVISOR)
-        config = SystemConfig(requests_per_thread=requests, seed=self.seed,
+    def build(self, obs=None, observer=None) -> System:
+        config = SystemConfig(requests_per_thread=self.requests_per_thread,
+                              seed=self.seed,
                               enable_refresh=self.enable_refresh)
         if observer is None and self.faults is not None:
             observer = self.faults.build()
@@ -107,29 +95,29 @@ BENCH_PROFILES: Dict[str, BenchProfile] = {
             name="hit-heavy",
             description="streaming row-buffer hits, no mitigation",
             workload=_HIT_HEAVY, threads=4,
-            requests_per_thread=12000, seed=101),
+            requests_per_thread=1500, seed=101),
         BenchProfile(
             name="conflict-heavy",
             description="row-miss traffic over a wide footprint",
             workload=_CONFLICT_HEAVY, threads=4,
-            requests_per_thread=4000, seed=202),
+            requests_per_thread=500, seed=202),
         BenchProfile(
             name="shadow-rfm",
             description="SHADOW at RAAIMT=32: RFM-heavy + translation",
             workload=_CONFLICT_HEAVY, threads=4,
-            requests_per_thread=3000, seed=303,
+            requests_per_thread=375, seed=303,
             scheme=SchemeSpec("shadow-raw", (("raaimt", 32),))),
         BenchProfile(
             name="refresh-dominated",
             description="sparse traffic; REF/idle-wake dominates events",
             workload=_REFRESH_DOMINATED, threads=2,
-            requests_per_thread=1500, seed=404),
+            requests_per_thread=187, seed=404),
         BenchProfile(
             name="idle-heavy",
             description="many near-idle threads; event-horizon "
                         "fast-forward dominates",
             workload=_IDLE_HEAVY, threads=16,
-            requests_per_thread=250, seed=505),
+            requests_per_thread=64, seed=505),
         BenchProfile(
             name="tracker-heavy",
             description="row-miss traffic into a composed tracker "
@@ -137,7 +125,7 @@ BENCH_PROFILES: Dict[str, BenchProfile] = {
                         "observe, frequent RFM TRR work, REF-window "
                         "resets",
             workload=_CONFLICT_HEAVY, threads=4,
-            requests_per_thread=3000, seed=606,
+            requests_per_thread=375, seed=606,
             scheme=SchemeSpec("dapper", (("hcnt", 1024),))),
         BenchProfile(
             name="faults-on",
@@ -145,98 +133,27 @@ BENCH_PROFILES: Dict[str, BenchProfile] = {
                         "at a tiny threshold: per-ACT disturbance "
                         "accumulation plus live ECC/recovery work",
             workload=_CONFLICT_HEAVY, threads=4,
-            requests_per_thread=3000, seed=707,
+            requests_per_thread=375, seed=707,
             faults=FaultSpec(hcnt=64, policy="retire", seed=707)),
     )
 }
 
 
-# -- measurement ------------------------------------------------------------------
+# -- overhead gates ----------------------------------------------------------------
 
-def run_one(profile: BenchProfile, quick: bool = False, repeats: int = 1,
-            obs_factory: Optional[Callable[[], object]] = None) -> Dict:
-    """Run one pinned profile; returns its report entry.
-
-    ``obs_factory`` builds a fresh :class:`~repro.obs.Observability` per
-    repeat (observability state is single-run); ``None`` benches the
-    instrumentation-off fast path.
-    """
-    if repeats <= 0:
-        raise ValueError("repeats must be positive")
-    best_wall = None
-    result = None
-    for _ in range(repeats):
-        obs = obs_factory() if obs_factory is not None else None
-        system = profile.build(quick, obs=obs)
-        t0 = time.perf_counter()
-        result = system.run()
-        wall = time.perf_counter() - t0
-        if obs is not None:
-            obs.close()
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-    entry = {
-        "description": profile.description,
-        "quick": quick,
-        "threads": profile.threads,
-        "requests": result.requests_issued,
-        "cycles": result.cycles,
-        "acts": result.stats.acts,
-        "row_hits": result.stats.row_hits,
-        "refreshes": result.refreshes,
-        "rfms": result.rfms,
-        "wall_s": round(best_wall, 4),
-        "cycles_per_s": round(result.cycles / best_wall, 1),
-    }
-    return entry
-
-
-def run_bench(names: Optional[List[str]] = None, quick: bool = False,
-              repeats: int = 1, log=print,
-              obs_factory: Optional[Callable[[], object]] = None,
-              keep_going: bool = False) -> Dict[str, Dict]:
-    """Run the pinned profile set; returns ``{name: entry}``.
-
-    With ``keep_going``, a profile that raises becomes an ``{"error":
-    {"type", "message"}}`` entry and the sweep continues -- the report
-    stays complete and :func:`check_regression` flags the failure --
-    instead of one bad profile aborting the whole bench run.
-    """
+def _profiles(names: Optional[List[str]]) -> List[str]:
+    """``names`` (default: every profile), each checked to exist."""
     if names is None:
-        names = list(BENCH_PROFILES)
+        return list(BENCH_PROFILES)
     unknown = sorted(set(names) - set(BENCH_PROFILES))
     if unknown:
         raise ValueError(f"unknown bench profiles: {unknown}; "
                          f"choose from {sorted(BENCH_PROFILES)}")
-    results = {}
-    for name in names:
-        try:
-            entry = run_one(BENCH_PROFILES[name], quick=quick,
-                            repeats=repeats, obs_factory=obs_factory)
-        except Exception as exc:
-            if not keep_going:
-                raise
-            entry = {
-                "description": BENCH_PROFILES[name].description,
-                "quick": quick,
-                "error": {"type": type(exc).__name__,
-                          "message": str(exc)},
-            }
-            results[name] = entry
-            if log is not None:
-                log(f"{name:>18}: FAILED "
-                    f"({type(exc).__name__}: {exc})")
-            continue
-        results[name] = entry
-        if log is not None:
-            log(f"{name:>18}: {entry['cycles']:>9} cycles in "
-                f"{entry['wall_s']:.2f}s -> {entry['cycles_per_s']:>10.0f} "
-                f"cycles/s")
-    return results
+    return names
 
 
 def _trace_obs_factory(trace_dir, profile_name: str):
-    """Factory of per-repeat Observability hubs tracing to a file."""
+    """Factory of per-run Observability hubs tracing to a file."""
     from repro.obs import Observability
     trace_dir = Path(trace_dir)
     trace_dir.mkdir(parents=True, exist_ok=True)
@@ -248,8 +165,7 @@ def _trace_obs_factory(trace_dir, profile_name: str):
     return factory
 
 
-def run_overhead(names: Optional[List[str]] = None, quick: bool = False,
-                 repeats: int = 1, trace_dir=None,
+def run_overhead(names: Optional[List[str]] = None, trace_dir=None,
                  retry_over: Optional[float] = None,
                  log=print) -> Dict[str, Dict]:
     """Measure instrumentation overhead: each profile off vs fully on.
@@ -257,13 +173,11 @@ def run_overhead(names: Optional[List[str]] = None, quick: bool = False,
     The "on" leg enables metrics, Chrome tracing (to ``trace_dir`` when
     given, an in-memory sink otherwise) and the snapshot sampler -- the
     most expensive observability configuration.  Both legs run on this
-    host back to back, so the ratio cancels machine speed; the committed
-    baseline report plays no part.  Returns ``{name: {"off": entry,
-    "on": entry, "overhead": fraction}}``.
+    host back to back, so the ratio cancels machine speed.  Returns
+    ``{name: {"off": entry, "on": entry, "overhead": fraction}}``.
 
     A percent-level ratio needs care on a noisy host, so the
-    measurement differs from :func:`run_one` in three ways.  The legs
-    are *interleaved* -- each round times one on and one off block back
+    measurement is built three ways.  The legs are *interleaved* -- each round times one on and one off block back
     to back (order alternating), so load drift between legs cancels.
     Each timed block runs a fast profile several times back-to-back
     (``inner``) so every block covers at least ``_GATE_BLOCK_SECONDS``
@@ -279,15 +193,9 @@ def run_overhead(names: Optional[List[str]] = None, quick: bool = False,
     estimate, so min-of-two-measurements is strictly closer to the true
     overhead; a genuine regression shows up in both and still fails.
     """
-    if names is None:
-        names = list(BENCH_PROFILES)
-    unknown = sorted(set(names) - set(BENCH_PROFILES))
-    if unknown:
-        raise ValueError(f"unknown bench profiles: {unknown}; "
-                         f"choose from {sorted(BENCH_PROFILES)}")
     from repro.obs import Observability
     results = {}
-    for name in names:
+    for name in _profiles(names):
         profile = BENCH_PROFILES[name]
         if trace_dir is not None:
             factory = _trace_obs_factory(trace_dir, name)
@@ -297,16 +205,15 @@ def run_overhead(names: Optional[List[str]] = None, quick: bool = False,
 
         def make_on(profile=profile, factory=factory):
             obs = factory()
-            return profile.build(quick, obs=obs), obs
+            return profile.build(obs=obs), obs
 
         results[name] = _overhead_gate(
-            name, profile, quick, repeats, retry_over, make_on,
-            what="observability", log=log)
+            name, profile, retry_over, make_on, what="observability",
+            log=log)
     return results
 
 
 def run_fault_overhead(names: Optional[List[str]] = None,
-                       quick: bool = False, repeats: int = 1,
                        retry_over: Optional[float] = None,
                        log=print) -> Dict[str, Dict]:
     """Measure fault-injection overhead: each profile off vs injector on.
@@ -324,10 +231,7 @@ def run_fault_overhead(names: Optional[List[str]] = None,
     """
     if names is None:
         names = [n for n, p in BENCH_PROFILES.items() if p.faults is None]
-    unknown = sorted(set(names) - set(BENCH_PROFILES))
-    if unknown:
-        raise ValueError(f"unknown bench profiles: {unknown}; "
-                         f"choose from {sorted(BENCH_PROFILES)}")
+    names = _profiles(names)
     baked = sorted(n for n in names if BENCH_PROFILES[n].faults is not None)
     if baked:
         raise ValueError(f"profiles {baked} bake in fault injection; "
@@ -337,17 +241,17 @@ def run_fault_overhead(names: Optional[List[str]] = None,
         profile = BENCH_PROFILES[name]
 
         def make_on(profile=profile):
-            return profile.build(quick, observer=FaultSpec().build()), None
+            return profile.build(observer=FaultSpec().build()), None
 
         results[name] = _overhead_gate(
-            name, profile, quick, repeats, retry_over, make_on,
-            what="fault injection", log=log)
+            name, profile, retry_over, make_on, what="fault injection",
+            log=log)
     return results
 
 
-def _overhead_gate(name: str, profile: BenchProfile, quick: bool,
-                   repeats: int, retry_over: Optional[float], make_on,
-                   what: str, log) -> Dict:
+def _overhead_gate(name: str, profile: BenchProfile,
+                   retry_over: Optional[float], make_on, what: str,
+                   log) -> Dict:
     """Interleaved on-vs-off measurement for one profile.
 
     ``make_on()`` builds one "on"-leg run as ``(system, closeable)``
@@ -360,7 +264,7 @@ def _overhead_gate(name: str, profile: BenchProfile, quick: bool,
         pairs = []
         for _ in range(inner):
             pairs.append(make_on() if on
-                         else (profile.build(quick), None))
+                         else (profile.build(), None))
         t0 = time.perf_counter()
         result = None
         for system, _closer in pairs:
@@ -374,11 +278,10 @@ def _overhead_gate(name: str, profile: BenchProfile, quick: bool,
     probe_wall, probe = block(1)
     inner = min(_GATE_MAX_INNER, max(1, round(
         _GATE_BLOCK_SECONDS / max(probe_wall, 1e-6))))
-    rounds = max(repeats, _GATE_ROUNDS)
 
     def measure():
         off_walls, on_walls, result = [], [], None
-        for r in range(rounds):
+        for r in range(_GATE_ROUNDS):
             # Alternate leg order so within-round effects (GC debt,
             # a load burst spanning one pair) don't bias one leg.
             if r % 2 == 0:
@@ -439,63 +342,3 @@ def check_overhead(results: Dict[str, Dict],
                 f"exceeds {max_overhead:.0%}")
     return failures
 
-
-# -- report I/O ---------------------------------------------------------------------
-
-def load_report(path) -> Dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def write_report(path, variant: str, results: Dict[str, Dict],
-                 extra: Optional[Dict] = None) -> Dict:
-    """Merge ``results`` for ``variant`` into the report at ``path``.
-
-    Existing entries for other variants (and any ``pre_pr`` reference
-    section) are preserved so one file carries the whole trajectory.
-    """
-    path = Path(path)
-    report = {}
-    if path.exists():
-        report = load_report(path)
-    report.setdefault("schema", SCHEMA)
-    report["host"] = {
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-    }
-    report.setdefault("variants", {})[variant] = results
-    if extra:
-        report.update(extra)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return report
-
-
-def check_regression(results: Dict[str, Dict], baseline: Dict,
-                     variant: str, max_regression: float) -> List[str]:
-    """Compare ``results`` against a report's matching variant.
-
-    Returns failure messages for every profile whose cycles/s dropped by
-    more than ``max_regression`` (a fraction, e.g. 0.30).  Profiles
-    missing from the baseline are skipped (new profiles are allowed).
-    """
-    if not 0 <= max_regression < 1:
-        raise ValueError("max_regression must be in [0, 1)")
-    base_variant = baseline.get("variants", {}).get(variant, {})
-    failures = []
-    for name, entry in results.items():
-        if "error" in entry:
-            failures.append(
-                f"{name}: failed to run ({entry['error']['type']}: "
-                f"{entry['error']['message']})")
-            continue
-        base = base_variant.get(name)
-        if base is None:
-            continue
-        floor = base["cycles_per_s"] * (1.0 - max_regression)
-        if entry["cycles_per_s"] < floor:
-            failures.append(
-                f"{name}: {entry['cycles_per_s']:.0f} cycles/s is below "
-                f"{floor:.0f} (baseline {base['cycles_per_s']:.0f} "
-                f"- {max_regression:.0%})")
-    return failures

@@ -9,7 +9,7 @@ script) bundles the common flows:
 * ``experiment``-- run a paper table/figure by name, print and save it
 * ``redteam``   -- replay the adversary suite against every scheme
 * ``templating``-- templating campaign (static vs SHADOW)
-* ``bench``     -- pinned scheduler benchmarks
+* ``bench``     -- observability and fault-injection overhead gates
 * ``stats``     -- run a workload with metrics on and print the summary
 * ``trace``     -- export a run as a Chrome/Perfetto or JSONL trace
 """
@@ -17,6 +17,7 @@ script) bundles the common flows:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -264,93 +265,28 @@ def cmd_templating(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Handle ``shadow-repro bench`` (exit 1 on a baseline regression)."""
-    from repro.bench import (
-        check_overhead, check_regression, load_report, run_bench,
-        run_overhead, write_report)
+    """Handle ``shadow-repro bench`` (exit 1 when an overhead gate fails)."""
+    from repro.bench import check_overhead, run_fault_overhead, run_overhead
 
     names = args.profiles or None
-    variant = "quick" if args.quick else "full"
-
-    if args.fault_overhead:
-        from repro.bench import run_fault_overhead
-        try:
-            overhead = run_fault_overhead(names=names, quick=args.quick,
-                                          repeats=args.repeats,
-                                          retry_over=args.max_fault_overhead)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        failures = check_overhead(overhead, args.max_fault_overhead)
-        if failures:
-            for message in failures:
-                print(f"OVERHEAD: {message}", file=sys.stderr)
-            return 1
-        print(f"fault-injection overhead within "
-              f"{args.max_fault_overhead:.0%} on every profile")
-        return 0
-
-    if args.overhead:
-        try:
-            overhead = run_overhead(names=names, quick=args.quick,
-                                    repeats=args.repeats,
-                                    trace_dir=args.trace_dir,
-                                    retry_over=args.max_overhead)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        if args.trace_dir:
-            print(f"traces written under {args.trace_dir}")
-        failures = check_overhead(overhead, args.max_overhead)
-        if failures:
-            for message in failures:
-                print(f"OVERHEAD: {message}", file=sys.stderr)
-            return 1
-        print(f"instrumentation overhead within {args.max_overhead:.0%} "
-              f"on every profile")
-        return 0
-
-    obs_factory = None
-    if args.obs:
-        from repro.obs import Observability
-        if args.trace_dir:
-            from repro.bench.harness import _trace_obs_factory
-            # One factory per profile needs per-name paths; simplest is
-            # to run profiles individually below, so fall back to the
-            # in-memory sink when benching multiple profiles at once.
-            if names is not None and len(names) == 1:
-                obs_factory = _trace_obs_factory(args.trace_dir, names[0])
-            else:
-                raise SystemExit("--trace-dir with --obs needs exactly "
-                                 "one profile via --profiles (use "
-                                 "--overhead for the full set)")
-        else:
-            def obs_factory():
-                return Observability.in_memory(sample_interval=10_000)
-
     try:
-        results = run_bench(names=names, quick=args.quick,
-                            repeats=args.repeats,
-                            obs_factory=obs_factory,
-                            keep_going=args.keep_going)
+        if args.overhead:
+            what, limit = "instrumentation", args.max_overhead
+            results = run_overhead(names=names, trace_dir=args.trace_dir,
+                                   retry_over=limit)
+        else:
+            what, limit = "fault-injection", args.max_fault_overhead
+            results = run_fault_overhead(names=names, retry_over=limit)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    if args.out:
-        write_report(args.out, variant, results)
-        print(f"wrote {variant} results to {args.out}")
-    if args.baseline:
-        baseline = load_report(args.baseline)
-        failures = check_regression(results, baseline, variant,
-                                    args.max_regression)
-        if failures:
-            for message in failures:
-                print(f"REGRESSION: {message}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.baseline} "
-              f"(threshold {args.max_regression:.0%})")
-    errored = sorted(n for n, e in results.items() if "error" in e)
-    if errored:
-        print(f"bench profiles failed: {', '.join(errored)}",
-              file=sys.stderr)
+    if args.overhead and args.trace_dir:
+        print(f"traces written under {args.trace_dir}")
+    failures = check_overhead(results, limit)
+    if failures:
+        for message in failures:
+            print(f"OVERHEAD: {message}", file=sys.stderr)
         return 1
+    print(f"{what} overhead within {limit:.0%} on every profile")
     return 0
 
 
@@ -427,7 +363,7 @@ def _add_engine_flags(parser, scope: str) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(
-        prog="shadow-repro",
+        prog="shadow-repro", allow_abbrev=False,
         description="SHADOW (HPCA 2023) reproduction toolkit")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
@@ -436,13 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
                                  "critical"],
                         help="configure stdlib logging at this level")
     sub = parser.add_subparsers(dest="command", required=True)
+    # No prefix matching anywhere: a mistyped or removed flag must be an
+    # error, not silently resolve to a longer flag it abbreviates.
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     scheme_names = cli_scheme_names()
 
     from repro.analysis.security import SECURITY_MODELS
     security_model_names = SECURITY_MODELS.names()
 
-    run_p = sub.add_parser(
+    run_p = add_parser(
         "run", help="simulate a workload (or a serialized spec)")
     run_p.add_argument("--workload", default="mcf")
     run_p.add_argument("--scheme", default="shadow",
@@ -458,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(run_p, "for --spec runs")
     run_p.set_defaults(func=cmd_run)
 
-    stats_p = sub.add_parser(
+    stats_p = add_parser(
         "stats", help="simulate with metrics on and print the summary")
     stats_p.add_argument("--workload", default="mcf")
     stats_p.add_argument("--scheme", default="shadow",
@@ -475,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also dump the full summary as JSON")
     stats_p.set_defaults(func=cmd_stats)
 
-    trace_p = sub.add_parser(
+    trace_p = add_parser(
         "trace", help="export a run as a Chrome/Perfetto or JSONL trace")
     trace_p.add_argument("--workload", default="mcf")
     trace_p.add_argument("--scheme", default="shadow",
@@ -498,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(0: off; default 10000)")
     trace_p.set_defaults(func=cmd_trace)
 
-    sec_p = sub.add_parser("security", help="per-scheme security bounds")
+    sec_p = add_parser("security", help="per-scheme security bounds")
     sec_p.add_argument("--scheme", default="shadow",
                        choices=security_model_names,
                        help="security model (default: shadow, the "
@@ -509,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "own secure derivation for --hcnt)")
     sec_p.set_defaults(func=cmd_security)
 
-    atk_p = sub.add_parser("attack", help="Monte Carlo adversary")
+    atk_p = add_parser("attack", help="Monte Carlo adversary")
     atk_p.add_argument("--scenario", type=int, choices=(1, 2), default=1)
     atk_p.add_argument("--hcnt", type=int, default=64)
     atk_p.add_argument("--raaimt", type=int, default=16)
@@ -520,11 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
     atk_p.add_argument("--no-shuffle", action="store_true")
     atk_p.set_defaults(func=cmd_attack)
 
-    tmpl_p = sub.add_parser("templating", help="templating campaign")
+    tmpl_p = add_parser("templating", help="templating campaign")
     tmpl_p.add_argument("--seed", type=int, default=1)
     tmpl_p.set_defaults(func=cmd_templating)
 
-    exp_p = sub.add_parser(
+    exp_p = add_parser(
         "experiment", help="run, print and save a paper table/figure")
     exp_p.add_argument("name", choices=EXPERIMENTS)
     exp_p.add_argument("fidelity", nargs="?", default="full",
@@ -537,43 +476,25 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of running it (feed to 'run --spec')")
     exp_p.set_defaults(func=cmd_experiment)
 
-    bench_p = sub.add_parser(
-        "bench", help="pinned scheduler benchmarks")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="shortened CI variant of each profile")
-    bench_p.add_argument("--repeats", type=int, default=1, metavar="N",
-                         help="take the best wall time of N runs")
+    bench_p = add_parser(
+        "bench", help="overhead gates on pinned scheduler profiles")
+    mode = bench_p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--overhead", action="store_true",
+                      help="measure instrumentation overhead: run each "
+                           "profile off and on, compare wall times")
+    mode.add_argument("--fault-overhead", action="store_true",
+                      help="measure fault-injection overhead: run each "
+                           "profile with and without an in-loop "
+                           "injector, compare wall times")
     bench_p.add_argument("--profiles", nargs="*", metavar="NAME",
                          help="subset of profiles (default: all)")
-    bench_p.add_argument("--out", metavar="PATH",
-                         help="merge results into this report JSON")
-    bench_p.add_argument("--baseline", metavar="PATH",
-                         help="compare against a committed report")
-    bench_p.add_argument("--max-regression", type=float, default=0.30,
-                         metavar="FRAC",
-                         help="allowed cycles/s drop vs baseline "
-                              "(default 0.30)")
-    bench_p.add_argument("--keep-going", action="store_true",
-                         help="a profile that fails to run is recorded "
-                              "as an error entry instead of aborting "
-                              "the whole bench sweep")
-    bench_p.add_argument("--obs", action="store_true",
-                         help="run with full observability on (metrics + "
-                              "trace + sampler)")
     bench_p.add_argument("--trace-dir", metavar="DIR",
-                         help="write Chrome traces of observability-on "
-                              "runs under this directory")
-    bench_p.add_argument("--overhead", action="store_true",
-                         help="measure instrumentation overhead: run each "
-                              "profile off and on, compare wall times")
+                         help="write Chrome traces of the observability-on "
+                              "leg under this directory (--overhead)")
     bench_p.add_argument("--max-overhead", type=float, default=0.15,
                          metavar="FRAC",
                          help="allowed on-vs-off slowdown with --overhead "
                               "(default 0.15)")
-    bench_p.add_argument("--fault-overhead", action="store_true",
-                         help="measure fault-injection overhead: run each "
-                              "profile with and without an in-loop "
-                              "injector, compare wall times")
     bench_p.add_argument("--max-fault-overhead", type=float, default=0.20,
                          metavar="FRAC",
                          help="allowed injector-on slowdown with "
@@ -583,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.experiments.redteam import FULL_ATTACKS
     from repro.spec.registry import FAULT_POLICIES
 
-    redteam_p = sub.add_parser(
+    redteam_p = add_parser(
         "redteam", help="replay the adversary suite against every scheme "
                         "with in-loop fault injection")
     redteam_p.add_argument("fidelity", nargs="?", default="smoke",

@@ -31,15 +31,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.obs.metrics import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricRegistry,
-    NullCounter,
-    NullGauge,
-    NullHistogram,
-    NullRegistry,
 )
 from repro.obs.sampler import SnapshotSampler, collect_summary
 from repro.obs.trace import (
@@ -116,11 +111,6 @@ __all__ = [
     "JsonlTraceSink",
     "MemoryTraceSink",
     "MetricRegistry",
-    "NULL_REGISTRY",
-    "NullCounter",
-    "NullGauge",
-    "NullHistogram",
-    "NullRegistry",
     "Observability",
     "SnapshotSampler",
     "TraceSink",

@@ -6,11 +6,10 @@ Two cost regimes, by construction:
   it is one attribute add, and looking one up in a
   :class:`MetricRegistry` is ~one dict access (instrument once, hold the
   handle, update forever);
-* **disabled** -- the null family (:data:`NULL_REGISTRY` and the
-  ``Null*`` singletons) accepts the same calls as no-ops, and the
-  simulator's own hot paths go one step further: they gate on a single
-  pre-hoisted ``is None``/bool check so that a run without an
-  :class:`~repro.obs.Observability` hub executes *zero* metric code.
+* **disabled** -- there are no metric objects at all: every
+  instrumentation site gates on a single pre-hoisted ``is None``/bool
+  check, so a run without an :class:`~repro.obs.Observability` hub
+  executes *zero* metric code.
 
 Histograms are log-scale (power-of-two buckets via ``int.bit_length``):
 request latencies and queue depths span orders of magnitude, and a
@@ -145,75 +144,3 @@ class MetricRegistry:
         """All current values, JSON-able, sorted by name."""
         return {name: metric.snapshot()
                 for name, metric in sorted(self._metrics.items())}
-
-
-# -- the null (disabled) family ---------------------------------------------------
-
-class NullCounter:
-    """Accepts :class:`Counter` calls, records nothing."""
-
-    __slots__ = ()
-    name = "<null>"
-    value = 0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def snapshot(self) -> int:
-        return 0
-
-
-class NullGauge:
-    __slots__ = ()
-    name = "<null>"
-    value = 0
-
-    def set(self, value: Number) -> None:
-        pass
-
-    def snapshot(self) -> int:
-        return 0
-
-
-class NullHistogram:
-    __slots__ = ()
-    name = "<null>"
-
-    def observe(self, value: int) -> None:
-        pass
-
-    def snapshot(self) -> Dict:
-        return {"count": 0, "sum": 0, "max": 0, "mean": 0.0, "buckets": {}}
-
-
-class NullRegistry:
-    """Registry stand-in for disabled observability: hands out shared
-    no-op singletons so instrumented code needs no conditionals."""
-
-    __slots__ = ()
-
-    _counter = NullCounter()
-    _gauge = NullGauge()
-    _histogram = NullHistogram()
-
-    def counter(self, name: str) -> NullCounter:
-        return self._counter
-
-    def gauge(self, name: str) -> NullGauge:
-        return self._gauge
-
-    def histogram(self, name: str) -> NullHistogram:
-        return self._histogram
-
-    def __contains__(self, name: str) -> bool:
-        return False
-
-    def __len__(self) -> int:
-        return 0
-
-    def snapshot(self) -> Dict:
-        return {}
-
-
-#: Shared null registry; safe to pass anywhere a MetricRegistry goes.
-NULL_REGISTRY = NullRegistry()

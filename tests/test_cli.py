@@ -98,6 +98,37 @@ class TestCommands:
             main(["--log-level", "chatty", "security"])
 
 
+class TestFlagParsing:
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--overhead", "--profile", "idle-heavy"],
+        ["--log", "info", "templating"],
+        ["run", "--work", "gcc"],
+    ], ids=["bench-profile", "log", "run-work"])
+    def test_abbreviated_flags_are_errors(self, argv):
+        # A prefix must not resolve to the longer flag it abbreviates
+        # (``bench --profile`` used to bench every profile).
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("flags", [
+        ["--quick"], ["--repeats", "3"], ["--baseline", "base.json"],
+        ["--max-regression", "0.30"], ["--out", "bench.json"],
+        ["--keep-going"], ["--obs"],
+    ], ids=lambda flags: flags[0].lstrip("-"))
+    def test_removed_bench_flags_are_errors(self, flags):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--overhead", *flags])
+
+    def test_bench_needs_exactly_one_gate(self):
+        parser = build_parser()
+        for argv in (["bench"], ["bench", "--overhead", "--fault-overhead"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+        args = parser.parse_args(["bench", "--fault-overhead",
+                                  "--profiles", "idle-heavy"])
+        assert args.fault_overhead and args.profiles == ["idle-heavy"]
+
+
 class TestObservabilityCommands:
     def test_stats_command(self, capsys):
         rc = main(["stats", "--workload", "mcf", "--scheme", "shadow",

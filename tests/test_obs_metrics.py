@@ -3,12 +3,10 @@
 import pytest
 
 from repro.obs import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricRegistry,
-    NullRegistry,
 )
 
 
@@ -77,18 +75,3 @@ class TestMetricRegistry:
         assert list(snap) == ["a", "b", "c"]
         json.dumps(snap)  # must not raise
 
-
-class TestNullFamily:
-    def test_null_registry_accepts_everything_and_records_nothing(self):
-        reg = NullRegistry()
-        reg.counter("x").inc(100)
-        reg.gauge("y").set(5)
-        reg.histogram("z").observe(9)
-        assert len(reg) == 0
-        assert "x" not in reg
-        assert reg.snapshot() == {}
-        assert reg.counter("x").snapshot() == 0
-        assert reg.histogram("z").snapshot()["count"] == 0
-
-    def test_null_singletons_are_shared(self):
-        assert NULL_REGISTRY.counter("a") is NULL_REGISTRY.counter("b")
