@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, NamedTuple
 
 from repro.dram.bank import Bank, BankStats
 from repro.dram.channel import ChannelTiming
@@ -12,23 +12,17 @@ from repro.dram.subarray import Subarray, SubarrayLayout
 from repro.dram.timing import TimingParams
 
 
-@dataclass(frozen=True, order=True)
-class BankAddress:
-    """Fully-qualified bank coordinate."""
+class BankAddress(NamedTuple):
+    """Fully-qualified bank coordinate.
+
+    Addresses key the hottest dicts in the simulator (mitigation
+    trackers, disturbance counters), so they are tuples: hashing and
+    equality run in C, and the hash is ``hash((channel, rank, bank))``.
+    """
 
     channel: int
     rank: int
     bank: int
-
-    def __post_init__(self) -> None:
-        # Addresses key the hottest dicts in the simulator (mitigation
-        # trackers, disturbance counters); the generated dataclass hash
-        # rebuilds a field tuple on every lookup, so pin it once.
-        object.__setattr__(
-            self, "_hash", hash((self.channel, self.rank, self.bank)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(frozen=True)

@@ -12,18 +12,16 @@ enough that memory latency and bandwidth changes move end-to-end
 runtime the way they do on real cores, cheap enough to simulate many
 threads.
 
-Feeding: a thread accepts either a lazy ``trace`` iterator of
-``(gap_ns, location, is_write)`` tuples (the historical interface) or a
-pregenerated ``ops`` list of ``(gap_cycles, location, is_write)``
-tuples (see :meth:`~repro.workloads.trace.TraceGenerator.materialize`).
-The ops path is the simulator's hot configuration: advancing the trace
-is an index bump instead of a generator resume, and the ns->cycle gap
-conversion happened up front.
+Feeding: a thread replays a pregenerated ``ops`` list of
+``(gap_cycles, location, is_write)`` tuples (see
+:meth:`~repro.workloads.trace.TraceGenerator.materialize`), so advancing
+the trace is an index bump and the ns->cycle gap conversion happened up
+front.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.controller.address import MemoryLocation
 from repro.controller.request import MemoryRequest
@@ -33,31 +31,24 @@ class ThreadState:
     """Execution state of one hardware thread."""
 
     __slots__ = ("thread_id", "budget", "issued", "completed_reads",
-                 "_tck_ns", "mlp", "outstanding", "next_ready",
-                 "finish_cycle", "_pending", "_trace", "_ops", "_pos")
+                 "mlp", "outstanding", "next_ready", "finish_cycle",
+                 "_pending", "_ops", "_pos")
 
     def __init__(self, thread_id: int,
-                 trace: Optional[Iterator[
-                     Tuple[float, MemoryLocation, bool]]] = None,
-                 request_budget: int = 1, tck_ns: float = 1.0, mlp: int = 8,
-                 ops: Optional[List[
-                     Tuple[int, MemoryLocation, bool]]] = None):
+                 ops: List[Tuple[int, MemoryLocation, bool]],
+                 request_budget: int = 1, mlp: int = 8):
         if request_budget <= 0:
             raise ValueError("request_budget must be positive")
         if mlp <= 0:
             raise ValueError("mlp must be positive")
-        if (trace is None) == (ops is None):
-            raise ValueError("provide exactly one of trace= or ops=")
-        if ops is not None and len(ops) < request_budget:
+        if len(ops) < request_budget:
             raise ValueError("ops must cover the full request budget")
         self.thread_id = thread_id
-        self._trace = trace
         self._ops = ops
         self._pos = 0
         self.budget = request_budget
         self.issued = 0
         self.completed_reads = 0
-        self._tck_ns = tck_ns
         self.mlp = mlp
         self.outstanding = 0
         self.next_ready: int = 0        # cycle the next request may issue
@@ -71,17 +62,10 @@ class ThreadState:
         if self.issued >= self.budget:
             self._pending = None
             return
-        ops = self._ops
-        if ops is not None:
-            pending = ops[self._pos]
-            self._pos += 1
-            self._pending = pending
-            self.next_ready = after_cycle + pending[0]
-            return
-        gap_ns, location, is_write = next(self._trace)
-        gap_cycles = max(1, int(gap_ns / self._tck_ns))
-        self._pending = (gap_cycles, location, is_write)
-        self.next_ready = after_cycle + gap_cycles
+        pending = self._ops[self._pos]
+        self._pos += 1
+        self._pending = pending
+        self.next_ready = after_cycle + pending[0]
 
     # -- scheduling interface ---------------------------------------------------------
 

@@ -129,7 +129,6 @@ class System:
                 ops=generator.materialize(
                     self.config.requests_per_thread, tck_ns),
                 request_budget=self.config.requests_per_thread,
-                tck_ns=tck_ns,
                 mlp=self.config.mlp))
 
     # -- the event loop --------------------------------------------------------------
@@ -194,7 +193,10 @@ class System:
         whose channel is re-armed at its own cycle is live again and,
         carrying the older seq, fires first (see DESIGN.md section 13).
         A channel wake's drain may also stand for the channel's own
-        later wakes, which are then never pushed (same section).
+        later wakes, which are then never pushed (same section).  A
+        thread's readiness entry is parked in ``parked`` instead of
+        pushed while its load window is full; the thread's next read
+        completion pushes it back or drops it (same section).
         """
         config = self.config
         max_cycles = config.max_cycles
@@ -210,6 +212,9 @@ class System:
             heappush(heap, (thread.next_ready, seq, 0, thread.thread_id))
             seq += 1
         armed_wake = [-1] * config.geometry.channels
+        # Per-thread readiness entry held out of the heap while the
+        # thread's load window is full (None = nothing parked).
+        parked: List = [None] * len(threads)
         last_cycle = 0
         # O(1) termination bookkeeping: a thread finishes exactly once
         # (its last issue for posted-write tails, its last read
@@ -218,7 +223,7 @@ class System:
         unfinished = sum(1 for t in threads if not t.finished)
 
         while heap:
-            cycle, _s, kind, payload = heappop(heap)
+            cycle, ticket, kind, payload = heappop(heap)
             if kind == 2 and armed_wake[payload] != cycle:
                 continue  # stale: the channel was re-armed earlier
             if cycle > max_cycles:
@@ -296,23 +301,45 @@ class System:
                             heappush(heap, (cycle, seq, 2, ch))
                             seq += 1
                 # drained/stalled_on_mlp inlined: reschedule unless the
-                # trace is exhausted or the load window is full.
+                # trace is exhausted or the thread is stalled (ready but
+                # its load window full); a stalled thread gets its next
+                # entry from the read completion that lets it issue.
                 pending = thread._pending
-                if pending is not None and not (
-                        cycle >= thread.next_ready and not pending[2]
-                        and thread.outstanding >= thread.mlp):
-                    heappush(heap, (thread.next_ready, seq, 0, payload))
-                    seq += 1
-                # If stalled on MLP, a completion event reschedules us.
+                if pending is not None:
+                    ready = thread.next_ready
+                    if pending[2] or thread.outstanding < thread.mlp:
+                        heappush(heap, (ready, seq, 0, payload))
+                        seq += 1
+                    elif cycle < ready:
+                        # Window full: the entry can only pop as a no-op
+                        # unless one of the thread's reads completes
+                        # first, so park it (DESIGN.md section 13).
+                        entry = (ready, seq, 0, payload)
+                        seq += 1
+                        if ready < next_sample and parked[payload] is None:
+                            parked[payload] = entry
+                        else:
+                            heappush(heap, entry)
 
             else:
                 # -- completion: data returned to the issuing thread ------
                 request = payload
                 thread = threads[request.thread_id]
                 thread.on_completion(request, cycle)
-                if not request.is_write and thread.finished:
-                    # This read was the thread's last outstanding load.
-                    unfinished -= 1
+                if not request.is_write:
+                    entry = parked[request.thread_id]
+                    if entry is not None:
+                        # The first read completion after a park: the
+                        # parked entry pops with its own ticket if it
+                        # comes later, and is dropped if it would have
+                        # popped (as a no-op) already.
+                        parked[request.thread_id] = None
+                        if (cycle, ticket) < entry:
+                            heappush(heap, entry)
+                    if thread.finished:
+                        # This read was the thread's last outstanding
+                        # load.
+                        unfinished -= 1
                 # can_issue inlined (drained is subsumed by the
                 # pending-None check).
                 pending = thread._pending

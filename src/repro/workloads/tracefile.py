@@ -15,6 +15,7 @@ request per line::
 from __future__ import annotations
 
 import io
+from itertools import islice
 from typing import Iterable, Iterator, List, TextIO, Tuple, Union
 
 from repro.controller.address import MemoryLocation
@@ -97,3 +98,12 @@ class FileTrace:
                 yield entry
             if not self.loop:
                 return
+
+    def materialize(self, count: int, tck_ns: float
+                    ) -> List[Tuple[int, MemoryLocation, bool]]:
+        """The first ``count`` requests as a thread's ``ops`` list, each
+        gap converted to DRAM cycles with ``max(1, int(gap_ns /
+        tck_ns))``, as the synthetic generators convert theirs."""
+        return [(max(1, int(gap_ns / tck_ns)), location, is_write)
+                for gap_ns, location, is_write
+                in islice(self.requests(), count)]

@@ -40,30 +40,26 @@ def small_config(**kw):
     return SystemConfig(**kw)
 
 
-def fake_trace(n, gap_ns=10.0, write_every=None):
-    def gen():
-        i = 0
-        while True:
-            is_write = write_every is not None and i % write_every == 0
-            yield gap_ns, MemoryLocation(0, 0, i % 4, (i * 3) % 128, 0), \
-                is_write
-            i += 1
-    return gen()
+def fake_ops(n, gap=13, write_every=None):
+    """``n`` thread ops, ``gap`` cycles apart, over four banks."""
+    return [(gap, MemoryLocation(0, 0, i % 4, (i * 3) % 128, 0),
+             write_every is not None and i % write_every == 0)
+            for i in range(n)]
 
 
 class TestThreadState:
     def test_issue_respects_gap(self):
-        t = ThreadState(0, fake_trace(10), request_budget=5, tck_ns=0.75)
+        t = ThreadState(0, fake_ops(10), request_budget=5)
         assert not t.can_issue(0)
         ready = t.next_ready
+        assert ready == 13
         assert t.can_issue(ready)
         req = t.issue(ready)
         assert req.arrival == ready
         assert t.outstanding == 1
 
     def test_mlp_limit_blocks_loads(self):
-        t = ThreadState(0, fake_trace(100), request_budget=50,
-                        tck_ns=0.75, mlp=2)
+        t = ThreadState(0, fake_ops(100), request_budget=50, mlp=2)
         cycle = 0
         issued = []
         while t.can_issue(max(cycle, t.next_ready)) and len(issued) < 10:
@@ -75,8 +71,8 @@ class TestThreadState:
         assert t.can_issue(max(cycle + 100, t.next_ready))
 
     def test_writes_do_not_occupy_window(self):
-        t = ThreadState(0, fake_trace(100, write_every=1),
-                        request_budget=20, tck_ns=0.75, mlp=1)
+        t = ThreadState(0, fake_ops(100, write_every=1),
+                        request_budget=20, mlp=1)
         cycle = 0
         for _ in range(5):
             cycle = max(cycle, t.next_ready)
@@ -85,7 +81,7 @@ class TestThreadState:
         assert t.outstanding == 0
 
     def test_finish_detection(self):
-        t = ThreadState(0, fake_trace(10), request_budget=1, tck_ns=0.75)
+        t = ThreadState(0, fake_ops(10), request_budget=1)
         req = t.issue(t.next_ready)
         assert t.drained and not t.finished
         t.on_completion(req, 500)
@@ -93,17 +89,18 @@ class TestThreadState:
         assert t.finish_cycle == 500
 
     def test_completion_without_outstanding_rejected(self):
-        t = ThreadState(0, fake_trace(10), request_budget=2, tck_ns=0.75)
+        t = ThreadState(0, fake_ops(10), request_budget=2)
         fake = MemoryRequest(MemoryLocation(0, 0, 0, 0, 0), False, 0, 0)
         with pytest.raises(RuntimeError):
             t.on_completion(fake, 10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ThreadState(0, fake_trace(1), request_budget=0, tck_ns=0.75)
+            ThreadState(0, fake_ops(1), request_budget=0)
         with pytest.raises(ValueError):
-            ThreadState(0, fake_trace(1), request_budget=1, tck_ns=0.75,
-                        mlp=0)
+            ThreadState(0, fake_ops(1), request_budget=1, mlp=0)
+        with pytest.raises(ValueError, match="full request budget"):
+            ThreadState(0, fake_ops(3), request_budget=4)
 
 
 class TestSystemConfig:

@@ -82,11 +82,18 @@ class TestFileTrace:
         with pytest.raises(ValueError):
             FileTrace([])
 
+    def test_materialize_converts_gaps_to_cycles(self):
+        ops = FileTrace(ENTRIES).materialize(4, tck_ns=0.75)
+        # int(12.5 / 0.75) = 16, int(3.0 / 0.75) = 4, a zero gap
+        # clamps to one cycle, and the looping trace starts over.
+        assert [gap for gap, _, _ in ops] == [16, 4, 1, 16]
+        assert [op[1:] for op in ops] == [e[1:] for e in ENTRIES + ENTRIES[:1]]
+
     def test_drives_a_thread(self):
         """A file trace plugs straight into the core model."""
         trace = FileTrace(ENTRIES)
-        thread = ThreadState(0, trace.requests(), request_budget=9,
-                             tck_ns=0.75)
+        thread = ThreadState(0, trace.materialize(9, tck_ns=0.75),
+                             request_budget=9)
         issued = []
         cycle = 0
         while not thread.drained:
