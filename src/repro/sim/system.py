@@ -196,7 +196,10 @@ class System:
         later wakes, which are then never pushed (same section).  A
         thread's readiness entry is parked in ``parked`` instead of
         pushed while its load window is full; the thread's next read
-        completion pushes it back or drops it (same section).
+        completion pushes it back or drops it (same section).  A
+        readiness entry also pops the thread's entries at the same cycle
+        that are next in pop order, which stand for nothing it does not
+        already do (same section).
         """
         config = self.config
         max_cycles = config.max_cycles
@@ -273,6 +276,16 @@ class System:
 
             elif kind == 0:
                 # -- thread readiness: issue while window/gaps allow ------
+                # The thread's entries at this cycle that are next in pop
+                # order would see the state this entry leaves and only
+                # reschedule beside its own reschedule: fold them into
+                # it (DESIGN.md section 13).
+                while heap:
+                    head = heap[0]
+                    if head[0] != cycle or head[2] != 0 \
+                            or head[3] != payload:
+                        break
+                    heappop(heap)
                 thread = threads[payload]
                 # ThreadState.can_issue inlined on both loop edges.
                 pending = thread._pending

@@ -16,11 +16,15 @@ recordings; this suite localises a divergence to the loop rather than
 the controller.
 """
 
+import heapq
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
 
+import repro.sim.system as system_module
+import tests.event_loop_reference as reference_module
 from repro.sim import System, SystemConfig
 from repro.workloads.trace import WorkloadProfile
 from tests.event_loop_reference import run_reference
@@ -261,6 +265,48 @@ class TestDrainLookAhead:
         run_reference(system)
         assert any(len(channels) > 1 for channels in woken.values())
         _run_systems(build)
+
+
+class TestFoldedReadiness:
+    """Deep load windows: a thread whose read returns at a cycle where it
+    can already issue gets a second readiness entry for that cycle, and
+    each entry that pops as a no-op re-pushes itself, so the reference
+    loop carries several entries per thread.  The production loop pops
+    a run of them as one (DESIGN.md section 13)."""
+
+    @pytest.mark.parametrize("sample_interval", [0, 200],
+                             ids=["unsampled", "sampled"])
+    def test_dense_threads_with_deep_windows(self, sample_interval,
+                                             monkeypatch):
+        from repro.obs import Observability
+
+        pops = {0: 0, "thread": 0}  # readiness pops of each loop
+
+        def counting_pop(heap):
+            entry = heapq.heappop(heap)
+            if entry[2] in pops:
+                pops[entry[2]] += 1
+            return entry
+        counting = types.SimpleNamespace(heappush=heapq.heappush,
+                                         heappop=counting_pop)
+        monkeypatch.setattr(system_module, "heapq", counting)
+        monkeypatch.setattr(reference_module, "heapq", counting)
+
+        for mlp in (4, 16):
+            def build():
+                config = SystemConfig(requests_per_thread=200, seed=11,
+                                      mlp=mlp)
+                obs = (Observability.in_memory(
+                    sample_interval=sample_interval)
+                    if sample_interval else None)
+                return System([_DENSE_LOADS] * 3, config=config, obs=obs)
+            fast_sys, ref_sys, _, _ = _run_systems(build)
+            if sample_interval:
+                fast_sys.obs.close()
+                ref_sys.obs.close()
+                assert len(fast_sys.obs.snapshots) >= 10
+                assert fast_sys.obs.snapshots == ref_sys.obs.snapshots
+        assert pops[0] < 0.5 * pops["thread"]
 
 
 class TestDeterminism:

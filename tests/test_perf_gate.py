@@ -3,6 +3,7 @@ perfbench output instead of real runs."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -177,3 +178,25 @@ class TestMain:
         assert record["pass"] is False
         assert [w for w, verdict in record["workloads"].items()
                 if verdict["failures"]] == ["redteam-zoo"]
+
+    def test_base_dir_recorded_as_its_commit(self, tmp_path, monkeypatch):
+        # A checkout is named by its commit; a plain directory inside
+        # another repository keeps its path, not that repository's commit.
+        repo = tmp_path / "repo"
+        plain = repo / "unpacked"
+        plain.mkdir(parents=True)
+        subprocess.run(["git", "init", "-q", str(repo)], check=True)
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=gate",
+                        "-c", "user.email=gate@example.com", "commit", "-q",
+                        "--allow-empty", "-m", "base"], check=True)
+        head = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"],
+                              capture_output=True, text=True,
+                              check=True).stdout.strip()
+        monkeypatch.setattr(gate, "run_perfbench",
+                            lambda checkout, workload:
+                            gate.parse_output(output()))
+        out = tmp_path / "gate.json"
+        for base_dir, want in ((repo, head), (plain, str(plain))):
+            assert gate.main(["--base-dir", str(base_dir), "--pairs", "1",
+                              "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["base"] == want

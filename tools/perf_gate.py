@@ -17,7 +17,9 @@ first.  The change fails when, on any workload:
 * one of its runs reports ``correct: false`` or does not finish;
 * its share of failed operations is larger than the base's.
 
-The JSON record (``--out``) holds, per workload, both sides' medians and
+The JSON record (``--out``) names the base by its commit (a
+``--base-dir`` that is not the top of a git work tree by its path) and
+holds, per workload, both sides' medians and
 IQRs, the change's delta, bound and pair wins for every metric, both
 sides' correctness, failed share and outcome digests, and the failures.
 Exit code 0 when the change passes, 1 when it fails.
@@ -167,10 +169,24 @@ def base_checkout(rev: Optional[str], base_dir: Optional[str]) -> Iterator[Path]
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _git_rev(checkout: Path, rev: str = "HEAD") -> Optional[str]:
-    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", rev],
+def _git_rev(checkout: Path, *args: str) -> Optional[str]:
+    """``git rev-parse ARGS`` in ``checkout`` (default ``HEAD``), or
+    ``None`` when git fails."""
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse",
+                           *(args or ("HEAD",))],
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def base_dir_label(base_dir: str) -> str:
+    """The commit checked out in ``base_dir`` when the directory is the
+    top of a git work tree, else ``base_dir`` itself (a plain directory
+    inside another repository is not that repository's commit)."""
+    path = Path(base_dir).resolve()
+    top = _git_rev(path, "--show-toplevel")
+    if top is not None and Path(top).resolve() == path:
+        return _git_rev(path) or base_dir
+    return base_dir
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -192,7 +208,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     record = {
         "schema": SCHEMA,
-        "base": _git_rev(ROOT, args.base) if args.base else args.base_dir,
+        "base": (_git_rev(ROOT, args.base) if args.base
+                 else base_dir_label(args.base_dir)),
         "change": _git_rev(ROOT),
         "seed": SEED,
         "host": {"python": platform.python_version(),
