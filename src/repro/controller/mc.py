@@ -52,7 +52,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.controller.request import MemoryRequest
 from repro.controller.rfm import RaaCounterBank
-from repro.dram.bank import Bank
 from repro.dram.commands import CommandType
 from repro.dram.device import BankAddress, DramDevice
 from repro.dram.rank import _FAR_PAST
@@ -195,8 +194,8 @@ class MemoryController:
             self._ctx[addr] = ctx
             rank_banks.setdefault(rank_key, []).append(ctx)
         # Per channel, each rank's refresh tracker and its REF target:
-        # ``(channel, rank, tracker, ctxs, chan, banks, addrs)``, with the
-        # rank's contexts, Bank objects and addresses in bank order, built
+        # ``(channel, rank, tracker, ctxs, chan, rank_timing, addrs)``,
+        # with the rank's contexts and addresses in bank order, built
         # once so an all-bank REF is one call per layer.
         self._chan_refresh: Dict[int, List[Tuple[int, RefreshTracker,
                                                  Tuple]]] = {
@@ -205,7 +204,7 @@ class MemoryController:
             ctxs = rank_banks[(ch, rk)]
             self._chan_refresh[ch].append((rk, tracker, (
                 ch, rk, tracker, ctxs, device.channels[ch],
-                [ctx.bank for ctx in ctxs], [ctx.addr for ctx in ctxs])))
+                device.ranks[(ch, rk)], [ctx.addr for ctx in ctxs])))
         # Flat dense index for the enqueue hot path: avoids building a
         # BankAddress and hashing it per request.
         self._nranks = geometry.ranks_per_channel
@@ -460,10 +459,15 @@ class MemoryController:
                                        "command bus busy at issue time")
                 chan._cmd_free_at = cycle + 1
                 chan.commands_issued += 1
-                target.bank.issue_pre(cycle)
+                bank = target.bank
+                bank.issue_pre(cycle)
+                rank = target.rank
+                rank.open_banks -= 1
+                if bank.next_act > rank.ref_ready:
+                    rank.ref_ready = bank.next_act
                 target.dirty = True
                 if payload == "conflict":
-                    target.bank.stats.row_conflicts += 1
+                    bank.stats.row_conflicts += 1
                 if self._tbuf is not None:
                     self._tbuf.append(("X", target.channel, target.track,
                                        "PRE", "cmd", cycle, self._dur_pre,
@@ -520,8 +524,6 @@ class MemoryController:
                 chan = self._chans[channel]
             refresh_draining_ranks.add(rank_index)
             cand = self._refresh_candidate(ref, chan)
-            if cand is None:
-                continue
             e, p, a = cand[0], cand[1], cand[2]
             if (not have_best) or (e, p, a) < (best_e, best_p, best_a):
                 have_best = True
@@ -773,22 +775,26 @@ class MemoryController:
                           cycle, payload)
 
     def _refresh_candidate(self, ref: Tuple, chan):
-        # One pass over the rank's banks: if any bank is open, the best
-        # (earliest, first-in-bank-order) PRE drains it; otherwise the
-        # REF issues once every bank is REF-ready and the tracker is
-        # due.  Bank earliest-issue is inlined (max of the exposed
-        # next_*/busy_until fields) -- this runs for every candidate
-        # scan of a refresh-draining rank.  ``ref`` is the rank's
-        # precomputed REF target (see ``_chan_refresh``).
-        tracker = ref[2]
-        banks = ref[3]
-        best = None
-        ref_earliest = tracker.next_due
+        # With no bank open, the REF issues once the tracker is due and
+        # every bank is REF-ready, which the rank's ``ref_ready`` already
+        # holds.  Otherwise the best (earliest, first-in-bank-order) PRE
+        # drains an open bank; bank earliest-issue is inlined there (max
+        # of the exposed next_pre/busy_until fields).  ``ref`` is the
+        # rank's precomputed REF target (see ``_chan_refresh``).
         # chan.earliest_command(e) == max(e, cmd_floor), hoisted.
         cmd_floor = chan._cmd_free_at
         if cmd_floor < chan._blocked_until:
             cmd_floor = chan._blocked_until
-        for ctx in banks:
+        rank = ref[5]
+        if not rank.open_banks:
+            earliest = ref[2].next_due
+            if earliest < rank.ref_ready:
+                earliest = rank.ref_ready
+            if earliest < cmd_floor:
+                earliest = cmd_floor
+            return (earliest, _PRIO_REFRESH, 0, _OP_REF, ref, None)
+        best = None
+        for ctx in ref[3]:
             bank = ctx.bank
             if bank.open_row is not None:
                 e = bank.next_pre
@@ -798,16 +804,7 @@ class MemoryController:
                     e = cmd_floor
                 if best is None or e < best[0]:
                     best = (e, _PRIO_REFRESH, 0, _OP_PRE, ctx, None)
-            else:
-                e = bank.next_act  # REF needs the bank precharged
-                if e < bank.busy_until:
-                    e = bank.busy_until
-                if e > ref_earliest:
-                    ref_earliest = e
-        if best is not None:
-            return best
-        earliest = ref_earliest if ref_earliest > cmd_floor else cmd_floor
-        return (earliest, _PRIO_REFRESH, 0, _OP_REF, ref, None)
+        return best
 
     def _rfm_candidate(self, ctx: _BankCtx, chan):
         bank = ctx.bank
@@ -846,8 +843,10 @@ class MemoryController:
                 "DRAM protocol violation: command bus busy at issue time")
         chan._cmd_free_at = cycle + 1
         chan.commands_issued += 1
-        ctx.rank.record_act(cycle, ctx.group)
+        rank = ctx.rank
+        rank.record_act(cycle, ctx.group)
         bank.issue_act(da_row, cycle, extra_latency=self._act_extra)
+        rank.open_banks += 1
         bank.stats.row_misses += 1
         if self.raa is not None:
             if self.raa.on_activate(addr):
@@ -874,6 +873,9 @@ class MemoryController:
                     ctx.chan.block(cycle + 1, outcome.channel_block_cycles)
                 if self.observer is not None:
                     self.observer.on_act_outcome(addr, outcome, cycle)
+        # After any TRR penalty, which moves next_act further.
+        if bank.next_act > rank.ref_ready:
+            rank.ref_ready = bank.next_act
         ctx.dirty = True
         return None
 
@@ -942,14 +944,14 @@ class MemoryController:
         return request, done
 
     def _do_ref(self, cycle: int, target) -> None:
-        channel, rank_index, tracker, _ctxs, chan, banks, addrs = target
+        channel, rank_index, tracker, _ctxs, chan, rank, addrs = target
         chan.record_command(cycle)
         lo, hi = tracker.record_ref(cycle)
         if self._tbuf is not None:
             self._tbuf.append(("X", channel, self._rank_tracks[
                 (channel, rank_index)], "REF", "cmd", cycle,
                 self._dur_ref, {"lo": lo, "hi": hi}))
-        Bank.issue_ref_all(banks, cycle)
+        rank.issue_ref(cycle)
         # Only active banks are ever recomputed, and every enqueue marks
         # its bank dirty, so the REF need only invalidate this rank's
         # active banks.
@@ -979,7 +981,10 @@ class MemoryController:
         chan.record_command(cycle)
         outcome = self.mitigation.on_rfm(addr, cycle)
         duration = self._timing.tRFM
-        ctx.bank.issue_rfm(cycle, duration)
+        done = ctx.bank.issue_rfm(cycle, duration)
+        rank = ctx.rank
+        if done > rank.ref_ready:
+            rank.ref_ready = done
         ctx.dirty = True
         self.raa.on_rfm(addr)
         if self._tbuf is not None:

@@ -3,7 +3,8 @@
 The bank enforces the JEDEC command spacings (paper Section II-A):
 tRCD between ACT and RD/WR, tRAS before PRE, tRP before the next ACT,
 tRC between ACTs, tCCD between column commands, tWR/tRTP write/read to
-precharge, plus blocking windows for REF/RFM.
+precharge, plus blocking windows for REF/RFM.  The all-bank REF is a
+rank command (:meth:`repro.dram.rank.RankTiming.issue_ref`).
 
 The bank also keeps the open-row state used by FR-FCFS scheduling and
 counts command statistics for the power model.
@@ -161,33 +162,6 @@ class Bank:
         self.stats.writes += 1
         return cycle + self._wr_done
 
-    def issue_ref(self, cycle: int) -> int:
-        """All-bank refresh touching this bank; returns completion cycle."""
-        return Bank.issue_ref_all((self,), cycle)
-
-    @staticmethod
-    def issue_ref_all(banks, cycle: int) -> int:
-        """One all-bank REF across ``banks`` (one rank's banks, in bank
-        order); returns the completion cycle of the last bank.
-
-        The checks and state updates of :meth:`issue_ref` run per bank in
-        one frame, so a rank-wide REF costs one call instead of one per
-        bank.
-        """
-        done = cycle
-        for bank in banks:
-            if bank.open_row is not None:
-                bank._fail("REF requires a precharged bank")
-            if cycle < bank.next_act or cycle < bank.busy_until:
-                bank._fail("REF issued before its timing constraints allow")
-            done = cycle + bank._t.tRFC
-            if done > bank.busy_until:
-                bank.busy_until = done
-            if done > bank.next_act:
-                bank.next_act = done
-            bank.stats.refreshes += 1
-        return done
-
     def issue_rfm(self, cycle: int, duration: Optional[int] = None) -> int:
         """Per-bank RFM; blocks the bank for ``duration`` (default tRFM)."""
         if self.open_row is not None:
@@ -204,11 +178,6 @@ class Bank:
         self.stats.rfms += 1
         return done
 
-    def block_until(self, cycle: int) -> None:
-        """External blocking (RRS channel swaps, throttling windows)."""
-        self.busy_until = max(self.busy_until, cycle)
-        self.next_act = max(self.next_act, cycle)
-
     def add_act_penalty(self, cycles: int) -> None:
         """Delay the next ACT by internal work (TRR victim refreshes).
 
@@ -219,11 +188,6 @@ class Bank:
         if cycles < 0:
             raise ValueError("penalty must be non-negative")
         self.next_act += cycles
-
-    @staticmethod
-    def _require(condition: bool, message: str) -> None:
-        if not condition:
-            raise RuntimeError(f"DRAM protocol violation: {message}")
 
     @staticmethod
     def _fail(message: str) -> None:

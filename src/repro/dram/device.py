@@ -97,7 +97,9 @@ class DramDevice:
             addr: Bank(timing) for addr in geometry.bank_addresses()
         }
         self.ranks: Dict[tuple, RankTiming] = {
-            (ch, rk): RankTiming(timing)
+            (ch, rk): RankTiming(timing, [
+                self.banks[BankAddress(ch, rk, bk)]
+                for bk in range(geometry.banks_per_rank)])
             for ch in range(geometry.channels)
             for rk in range(geometry.ranks_per_channel)
         }

@@ -7,12 +7,19 @@ groups) and at most four ACTs may fall in any tFAW window.  Column
 commands on the shared bus are likewise spaced tCCD_L within a group
 and tCCD_S across groups -- the reason controllers interleave bank
 groups on DDR4/DDR5.
+
+The rank also owns the all-bank REF.  It keeps ``open_banks`` (how many
+of its banks hold an open row) and ``ref_ready`` (the running maximum of
+every ``next_act``/``busy_until`` its banks have taken), so a REF is
+checked once per rank rather than once per bank (DESIGN.md section 9,
+"Rank-wide REF").  The memory controller updates both at every command
+that opens, closes or delays a bank.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict
+from typing import Deque, Dict, Sequence
 
 from repro.dram.timing import TimingParams
 
@@ -20,13 +27,22 @@ _FAR_PAST = -(10**12)
 
 
 class RankTiming:
-    """Sliding-window tracker for rank-wide ACT/column constraints."""
+    """Sliding-window tracker for rank-wide ACT/column constraints, and
+    the rank's all-bank REF."""
 
     __slots__ = ("_t", "_act_times", "_last_act", "_last_act_group",
-                 "_group_last_act", "_last_col", "_last_col_group")
+                 "_group_last_act", "_last_col", "_last_col_group",
+                 "banks", "open_banks", "ref_ready")
 
-    def __init__(self, timing: TimingParams):
+    def __init__(self, timing: TimingParams, banks: Sequence = ()):
         self._t = timing
+        #: The rank's Bank objects, in bank order.
+        self.banks = tuple(banks)
+        #: How many of ``banks`` hold an open row.
+        self.open_banks = 0
+        #: Running maximum of every ``next_act``/``busy_until`` the banks
+        #: have taken; both only move forward, so this is their maximum.
+        self.ref_ready = 0
         self._act_times: Deque[int] = deque(maxlen=4)
         self._last_act = _FAR_PAST
         self._last_act_group = None
@@ -85,3 +101,26 @@ class RankTiming:
             )
         self._last_col = cycle
         self._last_col_group = group
+
+    # -- refresh ------------------------------------------------------------------
+
+    def issue_ref(self, cycle: int) -> int:
+        """One all-bank REF at ``cycle``; returns its completion cycle.
+
+        Legal once no bank is open and ``cycle`` reaches ``ref_ready``.
+        ``cycle`` is then at least every bank's ``next_act`` and
+        ``busy_until``, so both become exactly ``cycle + tRFC``.
+        """
+        if self.open_banks:
+            raise RuntimeError(
+                "DRAM protocol violation: REF requires a precharged bank")
+        if cycle < self.ref_ready:
+            raise RuntimeError("DRAM protocol violation: "
+                               "REF issued before its timing constraints "
+                               "allow")
+        done = cycle + self._t.tRFC
+        for bank in self.banks:
+            bank.busy_until = bank.next_act = done
+            bank.stats.refreshes += 1
+        self.ref_ready = done
+        return done

@@ -117,6 +117,7 @@ def run_captured(system, run=None):
     ``system.run()`` when given (e.g. to drive another event loop).
     """
     from repro.dram.bank import Bank
+    from repro.dram.rank import RankTiming
 
     addr_of = {id(bank): addr for addr, bank in system.device.banks.items()}
     events = []
@@ -135,14 +136,13 @@ def run_captured(system, run=None):
             return out
         return wrapped
 
-    # An all-bank REF is one ``Bank.issue_ref_all`` call per rank
-    # (``issue_ref`` delegates to it); it records one event per bank, in
-    # bank order, as a per-bank REF would.
-    ref_all = Bank.issue_ref_all
+    # An all-bank REF is one ``RankTiming.issue_ref`` call per rank; it
+    # records one event per bank, in bank order, as a per-bank REF would.
+    issue_ref = RankTiming.issue_ref
 
-    def wrapped_ref_all(banks, cycle):
-        out = ref_all(banks, cycle)
-        for bank in banks:
+    def wrapped_issue_ref(rank, cycle):
+        out = issue_ref(rank, cycle)
+        for bank in rank.banks:
             addr = addr_of.get(id(bank))
             if addr is not None:
                 events.append(
@@ -152,13 +152,13 @@ def run_captured(system, run=None):
     for name in _BANK_COMMANDS:
         originals[name] = getattr(Bank, name)
         setattr(Bank, name, make_wrapper(name, originals[name]))
-    Bank.issue_ref_all = staticmethod(wrapped_ref_all)
+    RankTiming.issue_ref = wrapped_issue_ref
     try:
         result = system.run() if run is None else run(system)
     finally:
         for name, orig in originals.items():
             setattr(Bank, name, orig)
-        Bank.issue_ref_all = staticmethod(ref_all)
+        RankTiming.issue_ref = issue_ref
     digest = hashlib.sha256("\n".join(events).encode()).hexdigest()
     return result, digest, len(events)
 
