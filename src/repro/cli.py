@@ -86,7 +86,6 @@ def run_experiment(args, save_as: str, run: Callable[..., Dict],
     from repro.experiments.report import report_failures, save_results
 
     engine = Engine(jobs=args.jobs, use_cache=not args.no_cache,
-                    retries=args.retries, job_timeout=args.job_timeout,
                     keep_going=args.keep_going)
     results = run(engine)
     if not report_failures(engine) and render is not None:
@@ -326,11 +325,9 @@ def cmd_experiment(args) -> int:
         return 0
     save_as = f"{args.name}_{args.fidelity}"
     if args.name in ANALYTIC_EXPERIMENTS:
-        if (args.jobs != 1 or args.no_cache or args.retries
-                or args.job_timeout is not None or args.keep_going):
+        if args.jobs != 1 or args.no_cache or args.keep_going:
             raise SystemExit(
-                f"--jobs/--no-cache/--retries/--job-timeout/--keep-going "
-                f"only apply to "
+                f"--jobs/--no-cache/--keep-going only apply to "
                 f"{sorted(set(EXPERIMENTS) - ANALYTIC_EXPERIMENTS)}")
         save_as = args.name
     return run_experiment(
@@ -347,13 +344,6 @@ def _add_engine_flags(parser, scope: str) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help=f"bypass the persistent result cache "
                              f"{scope}")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help=f"retry each failing job up to N times with "
-                             f"exponential backoff {scope} (default: 0)")
-    parser.add_argument("--job-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help=f"kill any single job running longer than "
-                             f"this {scope} (worker pools only)")
     parser.add_argument("--keep-going", action="store_true",
                         help=f"record failed jobs and finish with partial "
                              f"results plus a failure report {scope} "

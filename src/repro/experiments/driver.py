@@ -277,9 +277,9 @@ def run_spec(spec: ExperimentSpec,
         try:
             value = metric.value(rp, plan, results)
         except KeyError:
-            # A job this point needs failed permanently (keep-going
-            # engines return partial results); anything else is a bug
-            # and must not be swallowed.
+            # A job this point needs failed (keep-going engines return
+            # partial results); anything else is a bug and must not be
+            # swallowed.
             if not engine.failures:
                 raise
             skipped.append("/".join(rp.point.group))

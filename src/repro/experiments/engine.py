@@ -16,33 +16,19 @@ engine expresses each such simulation as a declarative :class:`Job`
 * **survives failures** -- every pending job is its own future, drained
   as it completes and written to the cache *the moment it lands*, so a
   crash, OOM-killed worker or Ctrl-C at any point loses at most the
-  jobs that were in flight.  A rerun of the same sweep serves everything
+  jobs that had not finished.  A rerun of the same sweep serves everything
   already completed from the cache and simulates only the remainder.
 
-Failure model (see DESIGN.md for the full contract):
-
-* a job that raises is retried up to ``retries`` times with exponential
-  backoff (``backoff_s * 2**k``); a retry re-runs the same pure
-  function, so retried results are value-identical to first-try ones;
-* a dead worker (``BrokenProcessPool``) poisons every in-flight future;
-  the engine rebuilds the pool and resubmits the survivors, charging
-  one attempt to each in-flight job because the culprit is
-  indistinguishable from the victims;
-* ``job_timeout`` (seconds, workers only -- inline runs cannot be
-  interrupted) kills the pool, fails or retries the overrunning jobs,
-  and resubmits the innocent in-flight ones without charging them an
-  attempt;
-* a job that exhausts its attempts becomes a :class:`JobFailure`
-  (exception type, message, traceback, attempts, wall time).  The
-  default is fail-fast: :class:`JobFailedError` aborts the sweep (after
-  caching every already-completed result).  With ``keep_going=True``
-  the engine records the failure, finishes everything else, and returns
-  the partial result dict; drivers read ``Engine.failures`` /
-  :meth:`Engine.failure_report`.
-
-Retry/timeout/crash counters are mirrored into a
-:class:`~repro.obs.MetricRegistry` (``engine.*`` names) so failures are
-visible wherever observability summaries are surfaced.
+Failure model (see DESIGN.md for the full contract): a job whose worker
+raises -- including the ``BrokenProcessPool`` a dead worker leaves on
+every unfinished future -- becomes a :class:`JobFailure` (exception
+type, message, traceback).  Nothing is retried: a job is a seeded,
+deterministic simulation, so one that raised once raises again.  The
+default is fail-fast: :class:`JobFailedError` aborts the sweep (after
+caching every already-completed result).  With ``keep_going=True`` the
+engine records the failure, finishes everything else, and returns the
+partial result dict; drivers read ``Engine.failures`` /
+:meth:`Engine.failure_report`.
 
 Scheme factories are lambdas and cannot cross a process boundary, so a
 job carries a :class:`~repro.spec.SchemeSpec` -- a central-registry name
@@ -59,18 +45,15 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
 import traceback as _tb
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED, Future, ProcessPoolExecutor, wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (
-    Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs import MetricRegistry
 from repro.sim.system import System, SystemConfig, SystemResult
 from repro.spec import FaultSpec, SchemeSpec, scheme_spec
 from repro.utils.cache import DEFAULT_CACHE_DIR, ResultCache, spec_digest
@@ -248,7 +231,8 @@ def _maybe_inject_fault(job: Job) -> None:
     job whose scheme kind or any profile name contains a token raise.
 
     Lets the fault-injection smoke job (and manual experiments) exercise
-    the retry/keep-going machinery end to end without patching code.
+    the failure report, ``keep_going`` and the cache-hit resume end to
+    end without patching code.
     """
     tokens = os.environ.get("REPRO_FAULT_INJECT")
     if not tokens:
@@ -286,7 +270,7 @@ def _execute(job: Job) -> Dict:
 
 @dataclass
 class JobFailure:
-    """One job's permanent failure, after all retries were spent.
+    """One job's failure: the exception its worker raised.
 
     Self-describing (digest + scheme + workload names travel with the
     exception details) so :meth:`Engine.failure_report` is a JSON-able
@@ -299,14 +283,9 @@ class JobFailure:
     exc_type: str
     message: str
     traceback: str
-    attempts: int
-    duration_s: float
-    timed_out: bool = False
 
     @classmethod
-    def from_exception(cls, job: Job, exc: BaseException, attempts: int,
-                       duration_s: float,
-                       timed_out: bool = False) -> "JobFailure":
+    def from_exception(cls, job: Job, exc: BaseException) -> "JobFailure":
         trace = "".join(_tb.format_exception(
             type(exc), exc, exc.__traceback__)).rstrip()
         return cls(
@@ -316,23 +295,18 @@ class JobFailure:
             exc_type=type(exc).__name__,
             message=str(exc),
             traceback=trace,
-            attempts=attempts,
-            duration_s=round(duration_s, 4),
-            timed_out=timed_out,
         )
 
     def to_dict(self) -> Dict:
         return dataclasses.asdict(self)
 
     def describe(self) -> str:
-        what = "timed out" if self.timed_out else "failed"
-        return (f"{self.scheme} x {'+'.join(self.workloads)} {what} after "
-                f"{self.attempts} attempt(s): {self.exc_type}: "
-                f"{self.message}")
+        return (f"{self.scheme} x {'+'.join(self.workloads)} failed: "
+                f"{self.exc_type}: {self.message}")
 
 
 class JobFailedError(RuntimeError):
-    """Raised in fail-fast mode when a job exhausts its attempts.
+    """Raised in fail-fast mode when a job fails.
 
     Everything that completed before the failure is already in the
     cache, so rerunning the sweep resumes rather than restarts.
@@ -341,26 +315,7 @@ class JobFailedError(RuntimeError):
     def __init__(self, job: Job, failure: JobFailure):
         self.job = job
         self.failure = failure
-        message = f"job {failure.describe()}"
-        if failure.traceback:
-            message += f"\n{failure.traceback}"
-        super().__init__(message)
-
-
-class _JobTimeout(Exception):
-    """Internal marker for a job that overran ``job_timeout``."""
-
-
-class _Attempt:
-    """Mutable per-job retry bookkeeping inside one ``Engine.run``."""
-
-    __slots__ = ("job", "attempts", "started", "spent")
-
-    def __init__(self, job: Job):
-        self.job = job
-        self.attempts = 0          # times this job was started
-        self.started = 0.0         # monotonic start of the live attempt
-        self.spent = 0.0           # wall seconds across finished attempts
+        super().__init__(f"job {failure.describe()}\n{failure.traceback}")
 
 
 # -- the engine --------------------------------------------------------------------
@@ -373,95 +328,41 @@ class EngineStats:
     unique: int = 0          # distinct simulations needed
     cache_hits: int = 0      # served from the on-disk store
     executed: int = 0        # simulated AND cached/recorded this run
-    failed: int = 0          # permanent failures (retries exhausted)
-    retried: int = 0         # resubmissions after a transient failure
-    timeouts: int = 0        # attempts killed by --job-timeout
-    pool_crashes: int = 0    # BrokenProcessPool events (pool rebuilt)
+    failed: int = 0          # jobs whose worker raised
 
     def summary(self) -> str:
-        line = (f"{self.submitted} jobs ({self.unique} unique): "
+        return (f"{self.submitted} jobs ({self.unique} unique): "
                 f"{self.cache_hits} cache hits, {self.executed} executed, "
-                f"{self.failed} failed, {self.retried} retried")
-        if self.timeouts:
-            line += f", {self.timeouts} timed out"
-        if self.pool_crashes:
-            line += f", {self.pool_crashes} pool crashes"
-        return line
-
-
-#: How long the drain loop waits for the next completion before it
-#: checks backoff parking and job deadlines.
-_POLL_S = 0.25
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Forcefully tear a pool down, terminating its worker processes.
-
-    ``shutdown`` alone would wait for (or leak) a runaway job; the only
-    way to reclaim a worker stuck past its deadline is to kill it.
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
+                f"{self.failed} failed")
 
 
 class Engine:
-    """Runs jobs with dedup, persistent caching, workers and retries.
+    """Runs jobs with dedup, persistent caching and worker processes.
 
-    ``retries``/``backoff_s`` bound per-job re-execution of transient
-    failures; ``job_timeout`` (seconds) kills attempts that overrun
-    (worker pools only); ``keep_going`` turns the default fail-fast
-    :class:`JobFailedError` into a recorded :class:`JobFailure` plus
-    partial results.  ``worker`` is the picklable per-job callable
-    (tests inject deterministic faults through it); ``metrics`` is an
-    optional shared :class:`~repro.obs.MetricRegistry` for the
-    ``engine.*`` counters.
+    ``keep_going`` turns the default fail-fast :class:`JobFailedError`
+    into a recorded :class:`JobFailure` plus partial results.
+    ``worker`` is the picklable per-job callable (tests inject
+    deterministic faults through it).
     """
 
     def __init__(self, jobs: int = 1,
                  cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
                  use_cache: bool = True,
-                 retries: int = 0,
-                 backoff_s: float = 0.5,
-                 job_timeout: Optional[float] = None,
                  keep_going: bool = False,
-                 worker: Optional[Callable[[Job], Dict]] = None,
-                 metrics: Optional[MetricRegistry] = None):
+                 worker: Optional[Callable[[Job], Dict]] = None):
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if backoff_s < 0:
-            raise ValueError("backoff_s must be >= 0")
-        if job_timeout is not None and job_timeout <= 0:
-            raise ValueError("job_timeout must be positive")
         self.max_workers = jobs
         self.cache = (ResultCache(cache_dir)
                       if use_cache and cache_dir else None)
-        if self.cache is not None:
-            self.cache.clean_stale_tmps()
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self.job_timeout = job_timeout
         self.keep_going = keep_going
         self.worker = worker if worker is not None else _execute
         self.stats = EngineStats()
         self.failures: Dict[Job, JobFailure] = {}
-        self.metrics = metrics if metrics is not None else MetricRegistry()
-        self._c_cache_hits = self.metrics.counter("engine.cache_hits")
-        self._c_executed = self.metrics.counter("engine.executed")
-        self._c_retries = self.metrics.counter("engine.retries")
-        self._c_timeouts = self.metrics.counter("engine.timeouts")
-        self._c_pool_crashes = self.metrics.counter("engine.pool_crashes")
-        self._c_failures = self.metrics.counter("engine.failures")
 
     def failure_report(self) -> List[Dict]:
-        """JSON-able record of every permanent failure, in the order
-        they became permanent."""
+        """JSON-able record of every failure, in the order they
+        happened."""
         return [failure.to_dict() for failure in self.failures.values()]
 
     def run(self, jobs: Iterable[Job]) -> Dict[Job, JobResult]:
@@ -469,11 +370,11 @@ class Engine:
 
         Input order is irrelevant to the values (each job is an
         independent deterministic simulation), so any worker count --
-        and any completion/retry order -- produces identical results.
-        Each result is cached the moment it lands, so an interruption
-        loses at most the in-flight jobs.  In keep-going mode jobs that
-        failed permanently are absent from the dict and recorded in
-        :attr:`failures`; otherwise the first permanent failure raises
+        and any completion order -- produces identical results.  Each
+        result is cached the moment it lands, so an interruption loses
+        at most the unfinished jobs.  In keep-going mode jobs that
+        failed are absent from the dict and recorded in
+        :attr:`failures`; otherwise the first failure raises
         :class:`JobFailedError`.
         """
         ordered: List[Job] = []
@@ -494,20 +395,14 @@ class Engine:
             if cached is not None:
                 results[job] = JobResult.from_dict(cached)
                 self.stats.cache_hits += 1
-                self._c_cache_hits.inc()
             else:
                 pending.append(job)
 
-        if pending:
-            inline = (self.max_workers == 1
-                      or (len(pending) == 1 and self.job_timeout is None))
-            if inline:
-                self._run_inline(pending, results)
-            else:
-                self._run_pool(pending, results)
+        if self.max_workers == 1 or len(pending) == 1:
+            self._run_inline(pending, results)
+        elif pending:
+            self._run_pool(pending, results)
         return results
-
-    # -- shared bookkeeping ------------------------------------------------------
 
     def _record(self, job: Job, payload: Dict,
                 results: Dict[Job, JobResult]) -> None:
@@ -516,147 +411,57 @@ class Engine:
             self.cache.put(job.spec, payload)
         results[job] = JobResult.from_dict(payload)
         self.stats.executed += 1
-        self._c_executed.inc()
 
-    def _fail(self, job: Job, failure: JobFailure) -> None:
+    def _fail(self, job: Job, exc: BaseException) -> None:
+        failure = JobFailure.from_exception(job, exc)
         self.failures[job] = failure
         self.stats.failed += 1
-        self._c_failures.inc()
         if not self.keep_going:
             raise JobFailedError(job, failure)
-
-    def _note_retry(self, n: int = 1) -> None:
-        self.stats.retried += n
-        self._c_retries.inc(n)
-
-    def _backoff_delay(self, attempts: int) -> float:
-        """Exponential backoff before attempt ``attempts + 1``."""
-        return self.backoff_s * (2 ** max(0, attempts - 1))
-
-    # -- inline execution (jobs=1) -----------------------------------------------
 
     def _run_inline(self, pending: Sequence[Job],
                     results: Dict[Job, JobResult]) -> None:
         for job in pending:
-            attempt = _Attempt(job)
-            while True:
-                attempt.attempts += 1
-                start = time.perf_counter()
-                try:
-                    payload = self.worker(job)
-                except Exception as exc:
-                    attempt.spent += time.perf_counter() - start
-                    if attempt.attempts > self.retries:
-                        self._fail(job, JobFailure.from_exception(
-                            job, exc, attempt.attempts, attempt.spent))
-                        break
-                    self._note_retry()
-                    delay = self._backoff_delay(attempt.attempts)
-                    if delay:
-                        time.sleep(delay)
-                else:
-                    attempt.spent += time.perf_counter() - start
-                    self._record(job, payload, results)
-                    break
-
-    # -- pool execution (jobs>1) -------------------------------------------------
+            try:
+                payload = self.worker(job)
+            except Exception as exc:
+                self._fail(job, exc)
+            else:
+                self._record(job, payload, results)
 
     def _run_pool(self, pending: Sequence[Job],
                   results: Dict[Job, JobResult]) -> None:
-        """Submit each job as its own future and drain as completed.
+        """Submit every job as its own future and drain as completed.
 
-        The in-flight window is bounded by the worker count, so a
-        ``BrokenProcessPool`` or deadline kill only ever has to reason
-        about (and resubmit) at most ``workers`` attempts, and a
-        ``job_timeout`` measured from submission is a faithful per-job
-        deadline (a submitted job starts immediately).
+        A dead worker breaks the pool, which fails every unfinished
+        future with ``BrokenProcessPool``; each becomes that job's
+        failure like any other exception.
         """
-        workers = min(self.max_workers, len(pending))
-        queue: Deque[_Attempt] = deque(_Attempt(job) for job in pending)
-        parked: List[Tuple[float, _Attempt]] = []   # backoff waiting room
-        inflight: Dict[Any, _Attempt] = {}
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.max_workers, len(pending)))
         try:
-            while queue or inflight or parked:
-                now = time.monotonic()
-                if parked:
-                    still_parked = []
-                    for ready_at, attempt in parked:
-                        if ready_at <= now:
-                            queue.append(attempt)
-                        else:
-                            still_parked.append((ready_at, attempt))
-                    parked = still_parked
-                crashed_at_submit = False
-                while queue and len(inflight) < workers:
-                    attempt = queue.popleft()
-                    attempt.attempts += 1
-                    attempt.started = time.monotonic()
-                    try:
-                        future = pool.submit(self.worker, attempt.job)
-                    except BrokenProcessPool:
-                        # A worker died between drain iterations and the
-                        # crash surfaced at submit time.  This attempt
-                        # never ran, so it resubmits for free; the
-                        # charge lands on the futures that were actually
-                        # in flight (judged by ``_rebuild_pool``).
-                        crashed_at_submit = True
-                        attempt.attempts -= 1
-                        queue.appendleft(attempt)
-                        break
-                    inflight[future] = attempt
-                if crashed_at_submit:
-                    pool = self._rebuild_pool(pool, workers, inflight,
-                                              parked)
-                    continue
-                if not inflight:
-                    # Everything is parked on backoff; sleep to the
-                    # earliest release.
-                    wake = min(ready_at for ready_at, _ in parked)
-                    time.sleep(max(0.0, min(wake - now, _POLL_S)) or 0.001)
-                    continue
-                if self.job_timeout is not None:
-                    tick = min(_POLL_S, max(0.01, self.job_timeout / 8))
-                elif parked:
-                    tick = 0.05
-                else:
-                    tick = _POLL_S
-                done, _ = wait(list(inflight), timeout=tick,
-                               return_when=FIRST_COMPLETED)
+            futures: Dict[Future, Job] = {}
+            for job in pending:
+                try:
+                    future = pool.submit(self.worker, job)
+                except BrokenProcessPool as exc:
+                    # A worker died before every job was submitted.
+                    future = Future()
+                    future.set_exception(exc)
+                futures[future] = job
+            while futures:
+                done, _ = wait(futures, return_when=FIRST_COMPLETED)
                 # Record successes before acting on failures so a
                 # fail-fast abort preserves every completed result.
-                broken = False
                 for future in sorted(done,
                                      key=lambda f: f.exception() is not None):
-                    attempt = inflight.pop(future)
+                    job = futures.pop(future)
                     try:
                         payload = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        self._after_crash(attempt, parked)
                     except Exception as exc:
-                        attempt.spent += time.monotonic() - attempt.started
-                        if attempt.attempts > self.retries:
-                            self._fail(attempt.job, JobFailure.from_exception(
-                                attempt.job, exc, attempt.attempts,
-                                attempt.spent))
-                        else:
-                            self._note_retry()
-                            self._park(attempt, parked)
+                        self._fail(job, exc)
                     else:
-                        attempt.spent += time.monotonic() - attempt.started
-                        self._record(attempt.job, payload, results)
-                if broken:
-                    pool = self._rebuild_pool(pool, workers, inflight,
-                                              parked)
-                    continue
-                if self.job_timeout is not None and inflight:
-                    now = time.monotonic()
-                    expired = {f: a for f, a in inflight.items()
-                               if now - a.started > self.job_timeout}
-                    if expired:
-                        pool = self._expire(pool, workers, inflight,
-                                            expired, queue, parked, now)
+                        self._record(job, payload, results)
         except BaseException:
             # Abort path (fail-fast, Ctrl-C): don't wait for in-flight
             # jobs to drain -- cancel the queue and leave immediately.
@@ -667,100 +472,6 @@ class Engine:
             # and leaves no half-shut management thread for the
             # interpreter-exit hook to race against (EBADF noise).
             pool.shutdown(wait=True, cancel_futures=True)
-
-    def _park(self, attempt: _Attempt,
-              parked: List[Tuple[float, _Attempt]]) -> None:
-        """Queue a retry after its exponential-backoff delay."""
-        delay = self._backoff_delay(attempt.attempts)
-        parked.append((time.monotonic() + delay, attempt))
-
-    def _rebuild_pool(self, pool: ProcessPoolExecutor, workers: int,
-                      inflight: Dict[Any, _Attempt],
-                      parked: List[Tuple[float, _Attempt]],
-                      ) -> ProcessPoolExecutor:
-        """Replace a broken pool: judge the in-flight jobs, restart.
-
-        Every in-flight future of a crashed pool is poisoned; each
-        attempt is retried or failed (``_after_crash``) and the
-        survivors re-enter the queue against a fresh pool.
-        """
-        self.stats.pool_crashes += 1
-        self._c_pool_crashes.inc()
-        try:
-            for attempt in inflight.values():
-                self._after_crash(attempt, parked)
-        finally:
-            # Even if fail-fast aborts mid-judgement, the broken pool
-            # must not linger (the outer teardown re-shuts the old
-            # handle, which is idempotent).
-            inflight.clear()
-            pool.shutdown(wait=False, cancel_futures=True)
-        return ProcessPoolExecutor(max_workers=workers)
-
-    def _after_crash(self, attempt: _Attempt,
-                     parked: List[Tuple[float, _Attempt]]) -> None:
-        """One in-flight job of a crashed pool: retry or fail it.
-
-        The culprit is indistinguishable from the victims, so every
-        in-flight job is charged one attempt; innocent ones simply
-        succeed on resubmission.
-        """
-        attempt.spent += time.monotonic() - attempt.started
-        if attempt.attempts > self.retries:
-            self._fail(attempt.job, JobFailure(
-                job_digest=spec_digest(attempt.job.spec),
-                scheme=attempt.job.scheme.kind,
-                workloads=tuple(p.name for p in attempt.job.profiles),
-                exc_type="BrokenProcessPool",
-                message="worker process died (crash or OOM kill)",
-                traceback="",
-                attempts=attempt.attempts,
-                duration_s=round(attempt.spent, 4)))
-        else:
-            self._note_retry()
-            self._park(attempt, parked)
-
-    def _expire(self, pool: ProcessPoolExecutor, workers: int,
-                inflight: Dict[Any, _Attempt],
-                expired: Dict[Any, _Attempt],
-                queue: Deque[_Attempt],
-                parked: List[Tuple[float, _Attempt]],
-                now: float) -> ProcessPoolExecutor:
-        """Kill the pool to reclaim workers stuck past ``job_timeout``.
-
-        Expired attempts are failed or retried; the innocent in-flight
-        jobs the kill also took down are resubmitted without being
-        charged an attempt.
-        """
-        self.stats.timeouts += len(expired)
-        self._c_timeouts.inc(len(expired))
-        survivors = [a for f, a in inflight.items() if f not in expired]
-        inflight.clear()
-        _kill_pool(pool)
-        # Judge the expired attempts before building the replacement
-        # pool: a fail-fast abort here must not leak fresh workers.
-        for attempt in expired.values():
-            attempt.spent += now - attempt.started
-            if attempt.attempts > self.retries:
-                self._fail(attempt.job, JobFailure(
-                    job_digest=spec_digest(attempt.job.spec),
-                    scheme=attempt.job.scheme.kind,
-                    workloads=tuple(p.name for p in attempt.job.profiles),
-                    exc_type=_JobTimeout.__name__,
-                    message=(f"job exceeded --job-timeout "
-                             f"{self.job_timeout}s"),
-                    traceback="",
-                    attempts=attempt.attempts,
-                    duration_s=round(attempt.spent, 4),
-                    timed_out=True))
-            else:
-                self._note_retry()
-                self._park(attempt, parked)
-        pool = ProcessPoolExecutor(max_workers=workers)
-        for attempt in survivors:
-            attempt.attempts -= 1      # not their fault; free resubmit
-            queue.append(attempt)
-        return pool
 
 
 __all__ = [

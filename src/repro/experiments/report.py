@@ -18,11 +18,8 @@ def report_failures(engine) -> bool:
     and the failure report rides inside them).
     """
     failed = bool(engine.failures)
-    for entry in engine.failure_report():
-        what = "timed out" if entry["timed_out"] else "failed"
-        print(f"FAILED: {entry['scheme']} x {'+'.join(entry['workloads'])} "
-              f"{what} after {entry['attempts']} attempt(s): "
-              f"{entry['exc_type']}: {entry['message']}")
+    for failure in engine.failures.values():
+        print(f"FAILED: {failure.describe()}")
     if failed:
         print("partial results only; rerun to resume from the cache "
               "(completed jobs are cache hits)")

@@ -58,10 +58,7 @@ class ResultCache:
                  stale_tmp_age_s: float = STALE_TMP_AGE_S):
         self.directory = pathlib.Path(directory)
         self.schema_version = schema_version
-        self.stale_tmp_age_s = stale_tmp_age_s
-        self.hits = 0
-        self.misses = 0
-        self._tmps_cleaned = False
+        self._clean_stale_tmps(stale_tmp_age_s)
 
     def path_for(self, spec: Any) -> pathlib.Path:
         """Where the entry for ``spec`` lives (whether or not it exists)."""
@@ -79,20 +76,15 @@ class ResultCache:
             with open(path) as handle:
                 entry = json.load(handle)
         except (OSError, ValueError):
-            self.misses += 1
             return None
         if (entry.get("schema") != self.schema_version
                 or entry.get("spec") != json.loads(canonical_json(spec))):
-            self.misses += 1
             return None
-        self.hits += 1
         return entry["value"]
 
     def put(self, spec: Any, value: Dict) -> pathlib.Path:
         """Persist ``value`` for ``spec`` atomically; returns the path."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        if not self._tmps_cleaned:
-            self.clean_stale_tmps()
         path = self.path_for(spec)
         entry = {"schema": self.schema_version,
                  "spec": json.loads(canonical_json(spec)),
@@ -110,28 +102,22 @@ class ResultCache:
             raise
         return path
 
-    def clean_stale_tmps(self, max_age_s: Optional[float] = None) -> int:
+    def _clean_stale_tmps(self, max_age_s: float) -> None:
         """Remove orphaned ``*.tmp`` files left by interrupted ``put``
-        calls; returns how many were deleted.
+        calls; runs once, when the cache is opened.
 
-        Only tmps older than ``max_age_s`` (default: the cache's
-        ``stale_tmp_age_s``) go -- a fresh tmp may be a concurrent
-        writer mid-``os.replace``.
+        Only tmps older than ``max_age_s`` go -- a fresh tmp may be a
+        concurrent writer mid-``os.replace``.
         """
-        self._tmps_cleaned = True
-        if max_age_s is None:
-            max_age_s = self.stale_tmp_age_s
-        removed = 0
-        if self.directory.is_dir():
-            cutoff = time.time() - max_age_s
-            for path in self.directory.glob("*.tmp"):
-                try:
-                    if path.stat().st_mtime <= cutoff:
-                        path.unlink()
-                        removed += 1
-                except OSError:
-                    pass
-        return removed
+        if not self.directory.is_dir():
+            return
+        cutoff = time.time() - max_age_s
+        for path in self.directory.glob("*.tmp"):
+            try:
+                if path.stat().st_mtime <= cutoff:
+                    path.unlink()
+            except OSError:
+                pass
 
     def wipe(self) -> int:
         """Delete every entry (and orphaned tmp file); returns how many

@@ -119,6 +119,18 @@ class TestFlagParsing:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "--overhead", *flags])
 
+    @pytest.mark.parametrize("command", [
+        ["run"], ["experiment", "fig12", "smoke"], ["redteam", "smoke"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("flags", [
+        ["--retries", "1"], ["--job-timeout", "5"],
+    ], ids=lambda flags: flags[0].lstrip("-"))
+    def test_removed_engine_flags_are_errors(self, command, flags):
+        parser = build_parser()
+        parser.parse_args(command)          # valid without the flag
+        with pytest.raises(SystemExit):
+            parser.parse_args([*command, *flags])
+
     def test_bench_needs_exactly_one_gate(self):
         parser = build_parser()
         for argv in (["bench"], ["bench", "--overhead", "--fault-overhead"]):
