@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro.obs import Observability
-from repro.sim import System, SystemConfig
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -33,10 +32,7 @@ GOLDEN = json.loads(GEN.GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 def _build_system(scheme: str, obs):
-    mitigation = GEN.make_mitigation(scheme)
-    config = SystemConfig(geometry=GEN.GEOMETRY, seed=GEN.SEED,
-                          requests_per_thread=GEN.REQUESTS_PER_THREAD)
-    return System(list(GEN.THREADS), mitigation, config=config, obs=obs)
+    return GEN.build_system(scheme, obs=obs)[0]
 
 
 @pytest.mark.parametrize("scheme", GEN.SCHEMES)
