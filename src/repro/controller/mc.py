@@ -715,9 +715,15 @@ class MemoryController:
             while queue[0].completed is not None:
                 queue.popleft()
             head = queue[0]
+            # A closed bank also waits out its rank's REF; an open bank
+            # was activated after that REF, so its windows already do.
             e = bank.next_act
-            cand = (e if e > busy else busy, _PRIO_DEMAND,
-                    head.arrival, _OP_ACT, head, 0)
+            if e < busy:
+                e = busy
+            ref_until = ctx.rank.ref_until
+            if e < ref_until:
+                e = ref_until
+            cand = (e, _PRIO_DEMAND, head.arrival, _OP_ACT, head, 0)
         ctx.cand = cand
         ctx.dirty = False
         return cand
@@ -812,9 +818,12 @@ class MemoryController:
             earliest = chan.earliest_command(
                 bank.earliest_issue(CommandType.PRE, 0))
             return (earliest, _PRIO_RFM, 0, _OP_PRE, ctx, None)
-        earliest = chan.earliest_command(
-            bank.earliest_issue(CommandType.RFM, 0))
-        return (earliest, _PRIO_RFM, 0, _OP_RFM, ctx, None)
+        earliest = bank.earliest_issue(CommandType.RFM, 0)
+        ref_until = ctx.rank.ref_until
+        if earliest < ref_until:
+            earliest = ref_until
+        return (chan.earliest_command(earliest), _PRIO_RFM, 0, _OP_RFM,
+                ctx, None)
 
     # -- candidate execution ------------------------------------------------------------
     # Dispatch itself lives inline in ``drain`` (one branch per issued
@@ -976,13 +985,16 @@ class MemoryController:
         return None
 
     def _do_rfm(self, cycle: int, ctx: _BankCtx) -> None:
+        rank = ctx.rank
+        if cycle < rank.ref_until:
+            raise RuntimeError(
+                "DRAM protocol violation: RFM issued during the rank's REF")
         addr = ctx.addr
         chan = self._chans[addr.channel]
         chan.record_command(cycle)
         outcome = self.mitigation.on_rfm(addr, cycle)
         duration = self._timing.tRFM
         done = ctx.bank.issue_rfm(cycle, duration)
-        rank = ctx.rank
         if done > rank.ref_ready:
             rank.ref_ready = done
         ctx.dirty = True

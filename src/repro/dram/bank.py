@@ -3,8 +3,12 @@
 The bank enforces the JEDEC command spacings (paper Section II-A):
 tRCD between ACT and RD/WR, tRAS before PRE, tRP before the next ACT,
 tRC between ACTs, tCCD between column commands, tWR/tRTP write/read to
-precharge, plus blocking windows for REF/RFM.  The all-bank REF is a
-rank command (:meth:`repro.dram.rank.RankTiming.issue_ref`).
+precharge, plus the blocking window of an RFM or of mitigation work.
+The all-bank REF is a rank command
+(:meth:`repro.dram.rank.RankTiming.issue_ref`) and its tRFC window lives
+in the rank (``RankTiming.ref_until``), not here: a bank's own fields
+and counters never see a REF, and an ACT or RFM must also clear the
+rank's window.
 
 The bank also keeps the open-row state used by FR-FCFS scheduling and
 counts command statistics for the power model.
@@ -30,7 +34,8 @@ class BankStats:
     precharges: int = 0
     reads: int = 0
     writes: int = 0
-    refreshes: int = 0
+    refreshes: int = 0          # a bank's own counter stays 0: REF is
+                                # a rank count (DramDevice.aggregate_stats)
     rfms: int = 0
     row_hits: int = 0
     row_misses: int = 0
@@ -62,7 +67,7 @@ class Bank:
     next_pre: int = 0
     next_rd: int = 0
     next_wr: int = 0
-    busy_until: int = 0                # REF/RFM/mitigation blocking window
+    busy_until: int = 0                # RFM/mitigation blocking window
 
     def __post_init__(self) -> None:
         t = self.timing
@@ -78,8 +83,11 @@ class Bank:
     def earliest_issue(self, kind: CommandType, cycle: int) -> int:
         """Earliest cycle >= ``cycle`` this command could legally issue.
 
-        Does not check open-row semantics (the scheduler decides whether a
-        PRE or ACT is needed); checks timing constraints only.
+        Covers the bank's own windows only: an ACT or RFM must also clear
+        the rank's REF window (``RankTiming.ref_until``), and the
+        all-bank REF is a rank command.  Does not check open-row
+        semantics (the scheduler decides whether a PRE or ACT is
+        needed); checks timing constraints only.
         """
         base = max(cycle, self.busy_until)
         if kind is CommandType.ACT:
@@ -90,7 +98,7 @@ class Bank:
             return max(base, self.next_rd)
         if kind is CommandType.WR:
             return max(base, self.next_wr)
-        if kind in (CommandType.REF, CommandType.RFM):
+        if kind is CommandType.RFM:
             # Requires the bank precharged; the caller must PRE first.
             return max(base, self.next_act)
         raise ValueError(f"unsupported command: {kind}")

@@ -132,8 +132,14 @@ class DramDevice:
         return self._subarrays[key]
 
     def aggregate_stats(self) -> BankStats:
-        """Sum of all per-bank command counters."""
+        """Sum of all per-bank command counters.
+
+        A REF is counted once per rank (``RankTiming.refs``) and
+        refreshes every bank of it, so it adds one refresh per bank.
+        """
         total = BankStats()
         for bank in self.banks.values():
             total.merge(bank.stats)
+        for rank in self.ranks.values():
+            total.refreshes += rank.refs * len(rank.banks)
         return total

@@ -118,7 +118,8 @@ class TestIdleRefreshWake:
         before = tracker.refs_issued
         mc.drain(0, wake)
         assert tracker.refs_issued == before + 1
-        assert device.banks[BankAddress(0, 0, 0)].stats.refreshes == 1
+        assert device.ranks[(0, 0)].refs == 1
+        assert device.aggregate_stats().refreshes == SMALL.banks_per_rank
 
     def test_due_refresh_is_never_dropped_by_a_late_drain(self):
         device, mc = make_mc(refresh=True)
@@ -130,7 +131,8 @@ class TestIdleRefreshWake:
         completions, wake = mc.drain(0, until)
         assert completions == []
         assert tracker.refs_issued == 1
-        assert device.banks[BankAddress(0, 0, 0)].stats.refreshes == 1
+        assert device.ranks[(0, 0)].refs == 1
+        assert device.aggregate_stats().refreshes == SMALL.banks_per_rank
         assert wake == tracker.next_due > until
 
     def test_refreshes_keep_coming_on_idle_channel(self):

@@ -1,12 +1,15 @@
 """The rank refresh state the controller keeps matches its banks.
 
-``RankTiming.open_banks`` counts the rank's open banks and
-``RankTiming.ref_ready`` holds the maximum of every bank's ``next_act``
-and ``busy_until``; the all-bank REF and the refresh candidate read
-only these two values.  Random command sequences (ACT, PRE, RD, WR,
-RFM, TRR penalties and REF) and every golden scenario must leave both
-equal to what a walk over the banks computes, and a REF the state
-refuses must still be a DRAM protocol violation.
+``RankTiming.open_banks`` counts the rank's open banks,
+``RankTiming.ref_until`` is the end of the rank's last REF and
+``RankTiming.refs`` counts its REFs; a REF writes no bank.  A bank's
+effective ACT/RFM readiness, ``max(next_act, busy_until, ref_until)``,
+must equal what the per-bank REF rule (``_reference_ref``, replayed on a
+mirror bank per REF) gives, and ``RankTiming.ref_ready`` must hold the
+maximum of it over the rank.  Random command sequences (ACT, PRE, RD,
+WR, RFM, TRR penalties and REF) and every golden scenario must keep all
+of this, and a REF, ACT or RFM the rank state refuses must still be a
+DRAM protocol violation.
 """
 
 import random
@@ -16,12 +19,14 @@ import pytest
 from repro.controller.address import MemoryLocation
 from repro.controller.mc import McConfig, MemoryController
 from repro.controller.request import MemoryRequest
-from repro.dram.device import DramDevice, DramGeometry
+from repro.dram.bank import Bank
+from repro.dram.device import BankAddress, DramDevice, DramGeometry
 from repro.dram.subarray import SubarrayLayout
 from repro.dram.timing import DDR4_2666
 from repro.mitigations import Graphene, NoMitigation, Parfm
 from repro.utils.rng import SystemRng
 from tests.golden.generate import SCHEMES, build_system
+from tests.test_dram_bank import _reference_ref
 
 T = DDR4_2666
 GEOMETRY = DramGeometry(
@@ -31,17 +36,43 @@ GEOMETRY = DramGeometry(
 )
 
 
-def check_rank_state(mc):
-    for key, rank in mc.device.ranks.items():
+def check_rank_state(mc, mirrors):
+    """Check every rank against its banks and against ``mirrors``: one
+    Bank per address that has taken every REF of its rank by the
+    per-bank rule and no other command.  Returns how many banks are
+    open."""
+    device = mc.device
+    refreshed = 0
+    for key, rank in device.ranks.items():
         banks = rank.banks
         assert rank.open_banks == sum(
             bank.open_row is not None for bank in banks), key
-        assert rank.ref_ready == max(
-            max(bank.next_act, bank.busy_until) for bank in banks), key
         tracker = mc.refresh.get(key)
         refs = tracker.refs_issued if tracker is not None else 0
-        assert sum(bank.stats.refreshes for bank in banks) == \
-            len(banks) * refs, key
+        assert rank.refs == refs, key
+        refreshed += refs * len(banks)
+        chan = device.channels[key[0]]
+        ready = []
+        for index, bank in enumerate(banks):
+            addr = BankAddress(key[0], key[1], index)
+            effective = max(bank.next_act, bank.busy_until, rank.ref_until)
+            mirror = mirrors.get(addr)
+            reference = max(bank.next_act, bank.busy_until)
+            if mirror is None:
+                assert refs == 0, key
+            else:
+                assert mirror.stats.refreshes == refs, key
+                reference = max(reference, mirror.next_act,
+                                mirror.busy_until)
+            assert effective == reference, addr
+            ready.append(effective)
+            if bank.open_row is None:
+                # A closed bank's RFM waits for exactly this readiness.
+                # (With REF credit equal to RAAIMT no bank is RFM-due
+                # during a REF, so the scheduler alone never shows it.)
+                cand = mc._rfm_candidate(mc._ctx[addr], chan)
+                assert cand[0] == chan.earliest_command(effective), addr
+        assert rank.ref_ready == max(ready), key
         # A REF with a bank open, or one cycle before the last bank is
         # ready, is refused before it changes anything.
         if rank.open_banks:
@@ -52,17 +83,32 @@ def check_rank_state(mc):
             with pytest.raises(RuntimeError, match="DRAM protocol "
                                "violation: REF issued before"):
                 rank.issue_ref(rank.ref_ready - 1)
-    return sum(rank.open_banks for rank in mc.device.ranks.values())
+        if refs:
+            # So is an ACT or an RFM one cycle before the REF completes.
+            with pytest.raises(RuntimeError, match="DRAM protocol "
+                               "violation: ACT issued during the rank's "
+                               "REF"):
+                rank.record_act(rank.ref_until - 1)
+            ctx = mc._ctx[BankAddress(key[0], key[1], 0)]
+            with pytest.raises(RuntimeError, match="DRAM protocol "
+                               "violation: RFM issued during the rank's "
+                               "REF"):
+                mc._do_rfm(rank.ref_until - 1, ctx)
+    assert device.aggregate_stats().refreshes == refreshed
+    return sum(rank.open_banks for rank in device.ranks.values())
 
 
 class _Probe:
-    """Row Hammer observer that checks the rank state right after every
-    RFM and REF: a drain issues many commands, and a later command on
-    the same rank could hide a stale ``ref_ready`` by the drain's end.
-    (The ACT notifications fire before the ACT's own update.)"""
+    """Row Hammer observer that replays each REF on its banks' mirrors
+    by the per-bank rule, and checks the rank state right after every
+    RFM and every REF: a drain issues many commands, and a later
+    command on the same rank could hide a stale ``ref_ready`` by the
+    drain's end.  (The ACT notifications fire before the ACT's own
+    update.)"""
 
     def __init__(self):
         self.mc = None
+        self.mirrors = {}
         self.checks = 0
 
     def on_activate(self, addr, da_row, cycle):
@@ -72,19 +118,27 @@ class _Probe:
         pass
 
     def on_rfm_outcome(self, addr, outcome, cycle):
-        check_rank_state(self.mc)
+        check_rank_state(self.mc, self.mirrors)
         self.checks += 1
 
     def on_refresh_range(self, addr, lo, hi, cycle):
-        check_rank_state(self.mc)
-        self.checks += 1
+        mirror = self.mirrors.get(addr)
+        if mirror is None:
+            self.mirrors[addr] = mirror = Bank(T)
+        _reference_ref(mirror, cycle)
+        # The REF reaches its banks in bank order: check once the last
+        # one has its mirror updated.
+        rank = self.mc.device.ranks[(addr.channel, addr.rank)]
+        if addr.bank == len(rank.banks) - 1:
+            check_rank_state(self.mc, self.mirrors)
+            self.checks += 1
 
 
 def run_random(mitigation, seed, n_requests=600):
     """Enqueue random requests to a few rows per bank, with idle gaps
     long enough for REFs between bursts, and check the rank state after
-    every drain, RFM and REF.  Returns the device, the controller and
-    how many drains left a bank open."""
+    every drain, RFM and REF.  Returns the device, the controller, the
+    probe and how many drains left a bank open."""
     rng = random.Random(seed)
     device = DramDevice(GEOMETRY, T)
     probe = _Probe()
@@ -112,7 +166,7 @@ def run_random(mitigation, seed, n_requests=600):
         wakes = []
         for ch in range(GEOMETRY.channels):
             _done, wake = mc.drain(ch, cycle)
-            open_checks += check_rank_state(mc) > 0
+            open_checks += check_rank_state(mc, probe.mirrors) > 0
             if wake is not None:
                 wakes.append(wake)
         if i < len(arrivals):
@@ -120,7 +174,7 @@ def run_random(mitigation, seed, n_requests=600):
         cycle = max(cycle + 1, min(wakes))
     assert mc.pending_requests() == 0
     assert probe.checks
-    return device, mc, open_checks
+    return device, mc, probe, open_checks
 
 
 @pytest.mark.parametrize("make", [
@@ -131,7 +185,7 @@ def run_random(mitigation, seed, n_requests=600):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_random_sequences_keep_rank_state(make, seed):
     mitigation = make()
-    device, mc, open_checks = run_random(mitigation, seed)
+    device, mc, probe, open_checks = run_random(mitigation, seed)
     assert open_checks
     stats = device.aggregate_stats()
     # Every command class the state depends on really issued.
@@ -139,11 +193,13 @@ def test_random_sequences_keep_rank_state(make, seed):
     assert stats.reads and stats.writes
     if mitigation.uses_rfm:
         assert stats.rfms
-    check_rank_state(mc)
+    check_rank_state(mc, probe.mirrors)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_golden_scenarios_keep_rank_state(scheme):
-    system, _mitigation = build_system(scheme)
+    probe = _Probe()
+    system, _mitigation = build_system(scheme, observer=probe)
+    probe.mc = system.mc
     system.run()
-    check_rank_state(system.mc)
+    check_rank_state(system.mc, probe.mirrors)
