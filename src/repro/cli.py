@@ -323,15 +323,19 @@ def cmd_experiment(args) -> int:
         print(json.dumps(module.spec(args.fidelity).to_dict(), indent=2,
                          sort_keys=True))
         return 0
-    save_as = f"{args.name}_{args.fidelity}"
     if args.name in ANALYTIC_EXPERIMENTS:
         if args.jobs != 1 or args.no_cache or args.keep_going:
             raise SystemExit(
                 f"--jobs/--no-cache/--keep-going only apply to "
                 f"{sorted(set(EXPERIMENTS) - ANALYTIC_EXPERIMENTS)}")
-        save_as = args.name
+        # Closed-form tables run no job, so they build no engine.
+        from repro.experiments.report import save_results
+        results = module.run(args.fidelity)
+        print(module.render(results))
+        print("saved:", save_results(args.name, results))
+        return 0
     return run_experiment(
-        args, save_as,
+        args, f"{args.name}_{args.fidelity}",
         lambda engine: module.run(args.fidelity, engine=engine),
         module.render)
 

@@ -233,8 +233,6 @@ def run_spec(spec: ExperimentSpec,
     the skipped group paths -- so a driver gets partial results and a
     structured report instead of a mid-sweep traceback.
     """
-    engine = engine or Engine()
-
     # Resolve specs to simulator objects once per distinct spec: the
     # grids reuse a handful of workloads/configs across hundreds of
     # points, and profile construction is not free.
@@ -264,7 +262,14 @@ def run_spec(spec: ExperimentSpec,
         resolved.append(rp)
         plans.append(plan)
 
-    results = engine.run(all_jobs) if all_jobs else {}
+    # A spec of analytic points runs no job and builds no engine (an
+    # engine opens the result cache).
+    if all_jobs:
+        engine = engine or Engine()
+        results = engine.run(all_jobs)
+    else:
+        results = {}
+    failures = engine.failures if engine is not None else {}
 
     output: Dict[str, Any] = {"experiment": spec.name,
                               "fidelity": spec.fidelity}
@@ -280,7 +285,7 @@ def run_spec(spec: ExperimentSpec,
             # A job this point needs failed (keep-going engines return
             # partial results); anything else is a bug and must not be
             # swallowed.
-            if not engine.failures:
+            if not failures:
                 raise
             skipped.append("/".join(rp.point.group))
             continue
@@ -293,7 +298,7 @@ def run_spec(spec: ExperimentSpec,
         values = groups[path]
         cell = values[0] if len(values) == 1 else sum(values) / len(values)
         _insert(output, path, cell)
-    if engine.failures:
+    if failures:
         output["failures"] = {
             "jobs": engine.failure_report(),
             "skipped_points": skipped,
