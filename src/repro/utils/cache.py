@@ -3,10 +3,12 @@
 Simulation runs are deterministic functions of their spec (workload
 profiles, scheme, system configuration, seed), so their results can be
 memoised on disk: the spec is serialised to canonical JSON, hashed, and
-the result stored under ``<digest>.json``.  A schema version is part of
-the digested payload, so changing the result format (or anything about
-what a cached value means) invalidates old entries by construction
-rather than by manual cleanup.
+the result stored under ``<digest>.json``.  A schema version and a
+digest of the ``repro`` package's own sources are part of the digested
+payload, so changing the result format -- or any line of the code that
+computes a result -- invalidates old entries by construction rather
+than by manual cleanup.  Entries written by other code are misses, not
+errors; a rerun within one tree still hits.
 
 Writes are atomic (``os.replace`` of a temp file) so an interrupted
 sweep never leaves a torn entry behind -- a rerun simply resumes from
@@ -18,6 +20,7 @@ calling :meth:`ResultCache.wipe`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -44,9 +47,25 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """Hex digest of every ``*.py`` file of the installed ``repro``
+    package (relative paths and bytes); computed once per process."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    sha = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        sha.update(path.relative_to(root).as_posix().encode("utf-8"))
+        sha.update(b"\0")
+        sha.update(path.read_bytes())
+        sha.update(b"\0")
+    return sha.hexdigest()
+
+
 def spec_digest(spec: Any, schema_version: int = SCHEMA_VERSION) -> str:
-    """Stable hex digest of a JSON-serialisable spec."""
-    body = canonical_json({"schema": schema_version, "spec": spec})
+    """Stable hex digest of a JSON-serialisable spec and the code that
+    evaluates it (:func:`source_digest`)."""
+    body = canonical_json({"schema": schema_version,
+                           "source": source_digest(), "spec": spec})
     return hashlib.sha256(body.encode("utf-8")).hexdigest()[:40]
 
 
@@ -140,5 +159,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "STALE_TMP_AGE_S",
     "canonical_json",
+    "source_digest",
     "spec_digest",
 ]

@@ -4,6 +4,10 @@ import dataclasses
 import functools
 import json
 import os
+import pathlib
+import shutil
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -134,6 +138,55 @@ class TestResultCache:
     def test_canonical_json_stable(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == \
             '{"a":[1,2],"b":1}'
+
+
+#: Puts or gets one fixed entry; run in a fresh interpreter per call so
+#: each call digests the sources of the tree on its ``PYTHONPATH``.
+_CACHE_PROBE = """
+import sys
+import repro
+from repro.utils.cache import ResultCache
+cache = ResultCache(sys.argv[1])
+spec = {"scheme": "shadow", "hcnt": 4096}
+if sys.argv[2] == "put":
+    cache.put(spec, {"value": 1})
+print(repro.__file__, "hit" if cache.get(spec) == {"value": 1} else "miss")
+"""
+
+
+class TestSourceKey:
+    """The cache key covers the package's own sources: a rerun by the
+    same code hits, and an entry written by other code is a miss."""
+
+    def probe(self, tree, cache_dir, mode="get"):
+        out = subprocess.run(
+            [sys.executable, "-c", _CACHE_PROBE, str(cache_dir), mode],
+            cwd=tree.parent, capture_output=True, text=True, check=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(tree),
+                 "PYTHONDONTWRITEBYTECODE": "1"})
+        origin, verdict = out.stdout.split()
+        assert pathlib.Path(origin).is_relative_to(tree)
+        return verdict
+
+    def test_source_edit_turns_hit_into_miss(self, tmp_path):
+        tree = tmp_path / "src"
+        shutil.copytree(pathlib.Path(__file__).resolve().parents[1]
+                        / "src" / "repro", tree / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        cache_dir = tmp_path / "cache"
+        assert self.probe(tree, cache_dir, "put") == "hit"
+        assert self.probe(tree, cache_dir) == "hit"
+        # One byte of a module the goldens never run, then of the
+        # scheduler: each turns the entry into a miss; restoring the
+        # bytes makes it a hit again (the key is content, not mtime).
+        for module in ("analysis/security.py", "controller/mc.py"):
+            path = tree / "repro" / module
+            original = path.read_bytes()
+            path.write_bytes(original + b"\n")
+            assert self.probe(tree, cache_dir) == "miss", module
+            path.write_bytes(original)
+            assert self.probe(tree, cache_dir) == "hit", module
 
 
 class TestSchemeSpec:
