@@ -11,10 +11,12 @@ than through a spec).
 
 ``fidelity`` selects the run scale:
 
-* ``"smoke"`` -- minutes-scale runs used by the benchmark suite; same
-  mechanisms, trimmed workload sets and request budgets.
-* ``"full"`` -- the paper-scale configuration (all applications, 14-16
-  threads, larger budgets); used to produce EXPERIMENTS.md.
+* ``"smoke"`` -- minutes-scale runs, regenerated in CI and checked by
+  ``tests/test_claims.py``; same mechanisms, trimmed workload sets and
+  request budgets.
+* ``"full"`` -- the paper-scale configuration (more applications,
+  10-thread mixes, larger budgets); EXPERIMENTS.md renders its committed
+  results.
 """
 
 from repro.experiments.configs import FidelityConfig, fidelity_config
