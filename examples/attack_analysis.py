@@ -15,7 +15,9 @@ Run:  python examples/attack_analysis.py
 
 from repro.analysis.montecarlo import flip_rate
 from repro.analysis.security import SecurityAnalysis, SecurityParams
+from repro.core import Shadow, ShadowConfig
 from repro.dram.subarray import SubarrayLayout
+from repro.mitigations.none import NoMitigation
 from repro.rowhammer.adversary import ScenarioIAttacker, ScenarioIIAttacker
 from repro.utils.rng import SystemRng
 
@@ -32,6 +34,13 @@ def closed_form() -> None:
               f"III={r['scenario3']:.1e})")
 
 
+def shadow(raaimt: int):
+    """A per-trial SHADOW factory: one RFM every ``raaimt`` ACTs, its RNG
+    seeded by the trial."""
+    return lambda seed: Shadow(ShadowConfig(raaimt=raaimt, rng_kind="system",
+                                            rng_seed=seed))
+
+
 def monte_carlo() -> None:
     """Scaled-down subarray (32 rows).  Parameters are chosen so the
     Appendix XI bound is small for SHADOW at this scale: the attack
@@ -43,18 +52,18 @@ def monte_carlo() -> None:
         "scenario I (fresh aggressor per interval, Hcnt=64, RAAIMT=4)":
             (lambda seed: ScenarioIAttacker(layout, subarray=0,
                                             rng=SystemRng(seed)),
-             dict(hcnt=64, raaimt=4, intervals=300)),
+             dict(hcnt=64, intervals=300, acts_per_interval=4)),
         "scenario II (4 fixed aggressors, Hcnt=160, RAAIMT=16)":
             (lambda seed: ScenarioIIAttacker(layout, subarray=0, n_aggr=4,
                                              rng=SystemRng(seed)),
-             dict(hcnt=160, raaimt=16, intervals=120)),
+             dict(hcnt=160, intervals=120, acts_per_interval=16)),
     }
     for name, (make, params) in scenarios.items():
-        protected = flip_rate(make, layout=layout, trials=50, seed=5,
-                              **params)
-        undefended = flip_rate(make, layout=layout, trials=50, seed=5,
-                               shuffle=False, incremental_refresh=False,
-                               **params)
+        raaimt = params["acts_per_interval"]
+        protected = flip_rate(make, shadow(raaimt), layout=layout,
+                              trials=50, seed=5, **params)
+        undefended = flip_rate(make, lambda seed: NoMitigation(),
+                               layout=layout, trials=50, seed=5, **params)
         print(f"  {name}:")
         print(f"    flip rate without defense: {undefended:.0%}")
         print(f"    flip rate under SHADOW:    {protected:.0%}")

@@ -1,11 +1,12 @@
 """Analytical models: security (Table II), circuit timing (Table III),
 area and power (Section VII-D, Figure 12), plus the Monte Carlo
-adversarial-pattern harness validating the closed forms.
+adversarial-pattern driver (:func:`simulate_defense`, one campaign
+against any mitigation) validating the closed forms.
 """
 
 from repro.analysis.area import AreaModel, AreaReport
 from repro.analysis.circuit import CircuitModel, TableIII
-from repro.analysis.montecarlo import MonteCarloResult, simulate_attack
+from repro.analysis.montecarlo import MonteCarloResult, simulate_defense
 from repro.analysis.power import PowerModel, PowerReport, SystemPowerModel
 from repro.analysis.security import (
     SecurityAnalysis,
@@ -25,5 +26,5 @@ __all__ = [
     "SystemPowerModel",
     "TableIII",
     "bit_flip_probability",
-    "simulate_attack",
+    "simulate_defense",
 ]

@@ -231,8 +231,10 @@ def cmd_security(args) -> int:
 
 def cmd_attack(args) -> int:
     """Handle ``shadow-repro attack`` (exit 1 on a bit-flip)."""
-    from repro.analysis.montecarlo import simulate_attack
+    from repro.analysis.montecarlo import simulate_defense
+    from repro.core import Shadow, ShadowConfig
     from repro.dram.subarray import SubarrayLayout
+    from repro.mitigations.none import NoMitigation
     from repro.rowhammer.adversary import (
         ScenarioIAttacker, ScenarioIIAttacker)
     from repro.utils.rng import SystemRng
@@ -244,9 +246,11 @@ def cmd_attack(args) -> int:
     else:
         attacker = ScenarioIIAttacker(layout, 0, args.aggressors,
                                       SystemRng(args.seed))
-    result = simulate_attack(attacker, layout, hcnt=args.hcnt,
-                             raaimt=args.raaimt, intervals=args.intervals,
-                             shuffle=not args.no_shuffle)
+    mitigation = NoMitigation() if args.no_shuffle else Shadow(ShadowConfig(
+        raaimt=args.raaimt, rng_kind="system", rng_seed=args.seed))
+    result = simulate_defense(attacker, layout, mitigation, hcnt=args.hcnt,
+                              intervals=args.intervals,
+                              acts_per_interval=args.raaimt)
     print(f"scenario={args.scenario} hcnt={args.hcnt} "
           f"raaimt={args.raaimt} shuffle={not args.no_shuffle}")
     print(f"flipped={result.flipped} acts={result.total_acts} "
@@ -449,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     atk_p.add_argument("--rows", type=int, default=32)
     atk_p.add_argument("--aggressors", type=int, default=4)
     atk_p.add_argument("--intervals", type=int, default=200)
-    atk_p.add_argument("--seed", type=int, default=1)
+    atk_p.add_argument("--seed", type=int, default=1,
+                       help="seeds the attacker and SHADOW's RNG")
     atk_p.add_argument("--no-shuffle", action="store_true")
     atk_p.set_defaults(func=cmd_attack)
 

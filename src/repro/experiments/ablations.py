@@ -25,13 +25,16 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.analysis.montecarlo import flip_rate
+from repro.core.config import ShadowConfig
 from repro.core.pairing import ShadowTimings
+from repro.core.shadow import Shadow
 from repro.dram.subarray import SubarrayLayout
 from repro.dram.timing import DDR4_2666
 from repro.experiments.configs import DEFAULT_HCNT, fidelity_config
 from repro.experiments.driver import METRICS, AnalyticMetric, run_spec
 from repro.experiments.engine import Engine
 from repro.experiments.report import format_table
+from repro.mitigations.none import NoMitigation
 from repro.rowhammer.adversary import ScenarioIIAttacker
 from repro.spec import ExperimentSpec, PointSpec, scheme_spec, workload_spec
 from repro.utils.rng import SystemRng
@@ -60,21 +63,29 @@ def protection_ablation(trials: int = 40) -> Dict[str, float]:
     """Scenario-II flip rate with and without the incremental refresh.
 
     Scaled-down subarray (32 rows) so empirical rates are measurable.
+    "No shuffle" is the unprotected bank: SHADOW without RFM work keeps
+    its factory mapping, the identity that skips the empty rows.
     """
     layout = SubarrayLayout(subarrays_per_bank=2, rows_per_subarray=32)
+    raaimt = 16
 
     def make(seed: int):
         return ScenarioIIAttacker(layout, subarray=0, n_aggr=4,
                                   rng=SystemRng(seed))
 
-    common = dict(layout=layout, hcnt=160, raaimt=16, intervals=120,
-                  trials=trials, seed=11)
+    def shadow(incremental_refresh: bool):
+        return lambda seed: Shadow(ShadowConfig(
+            raaimt=raaimt, rng_kind="system", rng_seed=seed,
+            incremental_refresh=incremental_refresh))
+
+    common = dict(layout=layout, hcnt=160, intervals=120,
+                  trials=trials, seed=11, acts_per_interval=raaimt)
     return {
-        "with incremental refresh": flip_rate(make, **common),
+        "with incremental refresh": flip_rate(make, shadow(True), **common),
         "without incremental refresh": flip_rate(
-            make, incremental_refresh=False, **common),
+            make, shadow(False), **common),
         "no shuffle (RFM only)": flip_rate(
-            make, shuffle=False, incremental_refresh=False, **common),
+            make, lambda seed: NoMitigation(), **common),
     }
 
 

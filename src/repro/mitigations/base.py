@@ -217,3 +217,7 @@ class Mitigation(abc.ABC):
 
     def describe(self) -> str:
         return self.name
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` if the scheme's state is inconsistent
+        (SHADOW's remapping rows); the default has nothing to check."""

@@ -9,6 +9,9 @@ crosses ``H_cnt`` within its effective refresh window.
 (single-, double-, many-sided, blast) as physical-address streams, and
 :mod:`repro.rowhammer.adversary` implements the three SHADOW-specific
 adversarial scenarios of Section VII-A / Appendix XI.
+
+:mod:`repro.rowhammer.templating` drives a mitigation, so it sits above
+:mod:`repro.mitigations` and is not re-exported here.
 """
 
 from repro.rowhammer.attacks import (
@@ -31,11 +34,6 @@ from repro.rowhammer.model import (
     blast_weight,
     blast_weight_sum,
 )
-from repro.rowhammer.templating import (
-    Template,
-    TemplatingCampaign,
-    TemplatingReport,
-)
 
 __all__ = [
     "AttackPattern",
@@ -45,9 +43,6 @@ __all__ = [
     "ScenarioIAttacker",
     "ScenarioIIAttacker",
     "ScenarioIIIAttacker",
-    "Template",
-    "TemplatingCampaign",
-    "TemplatingReport",
     "blast_attack",
     "blast_weight",
     "blast_weight_sum",

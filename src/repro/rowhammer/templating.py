@@ -25,12 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.core.controller import ShadowBankController
-from repro.dram.device import BankAddress
+from repro.core.config import ShadowConfig
+from repro.core.shadow import Shadow
+from repro.dram.device import BankAddress, DramGeometry
 from repro.dram.subarray import SubarrayLayout
-from repro.mitigations.base import RfmOutcome
+from repro.dram.timing import DDR5_4800
+from repro.mitigations.base import Mitigation
+from repro.mitigations.none import NoMitigation
 from repro.rowhammer.model import DisturbanceModel, HammerConfig
-from repro.utils.rng import RandomSource, SystemRng
 
 _ADDR = BankAddress(0, 0, 0)
 
@@ -61,55 +63,42 @@ class TemplatingReport:
 
 
 class _Substrate:
-    """Translation + disturbance + optional per-RFM shuffle."""
+    """Translation + disturbance + the mitigation's per-RFM work."""
 
-    def __init__(self, layout: SubarrayLayout, hcnt: int, raaimt: int,
-                 blast_radius: int, shadow_rng: Optional[RandomSource]):
+    def __init__(self, layout: SubarrayLayout, hcnt: int,
+                 blast_radius: int, mitigation: Mitigation):
         self.layout = layout
-        self.raaimt = raaimt
         self.hcnt = hcnt
         self.model = DisturbanceModel(
             HammerConfig(hcnt=hcnt, blast_radius=blast_radius,
                          layout=layout),
             record_all_flips=True)
-        self.shadow: Optional[ShadowBankController] = None
-        if shadow_rng is not None:
-            self.shadow = ShadowBankController(layout, raaimt=raaimt,
-                                               rng=shadow_rng)
+        self.mitigation = mitigation
+        mitigation.bind(DramGeometry(channels=1, ranks_per_channel=1,
+                                     banks_per_rank=1, layout=layout),
+                        DDR5_4800)
         self._acts_since_rfm = 0
 
     def translate(self, pa_row: int) -> int:
-        if self.shadow is not None:
-            return self.shadow.translate(pa_row)
-        return self.layout.identity_da(pa_row)
+        return self.mitigation.translate(_ADDR, pa_row)
 
     def occupant(self, da_row: int) -> Optional[int]:
         """PA currently stored in a DA slot (None for empty slots)."""
-        if self.shadow is None:
-            sub = self.layout.subarray_of_da(da_row)
-            off = self.layout.da_offset(da_row)
-            if off >= self.layout.rows_per_subarray:
-                return None
-            return self.layout.pa_row(sub, off)
-        sub = self.layout.subarray_of_da(da_row)
-        off = self.layout.da_offset(da_row)
-        pa_off = self.shadow.remapping_row(sub).occupant_of(off)
-        if pa_off is None:
-            return None
-        return self.layout.pa_row(sub, pa_off)
+        for pa_row in range(self.layout.mc_rows_per_bank):
+            if self.translate(pa_row) == da_row:
+                return pa_row
+        return None
 
     def activate(self, pa_row: int) -> None:
         da = self.translate(pa_row)
         self.model.on_activate(_ADDR, da, cycle=0)
-        if self.shadow is not None:
-            self.shadow.record_activation(pa_row)
+        self.mitigation.on_activate(_ADDR, pa_row, da, 0)
+        if self.mitigation.uses_rfm:
             self._acts_since_rfm += 1
-            if self._acts_since_rfm >= self.raaimt:
+            if self._acts_since_rfm >= self.mitigation.raaimt:
                 self._acts_since_rfm = 0
-                refreshed, copies = self.shadow.run_rfm()
                 self.model.on_rfm_outcome(
-                    _ADDR, RfmOutcome(refreshed_rows=refreshed,
-                                      copies=copies), 0)
+                    _ADDR, self.mitigation.on_rfm(_ADDR, 0), 0)
 
     def hammer_round(self, aggressors: Tuple[int, int],
                      acts: int) -> List[int]:
@@ -130,7 +119,7 @@ class TemplatingCampaign:
     """Template with double-sided pairs, then try to exploit.
 
     ``shadow=False`` models any static-mapping defenseless device;
-    ``shadow=True`` interposes a real SHADOW bank controller.
+    ``shadow=True`` interposes a real SHADOW mitigation.
     """
 
     layout: SubarrayLayout = field(
@@ -144,9 +133,12 @@ class TemplatingCampaign:
     seed: int = 1
 
     def _substrate(self) -> _Substrate:
-        rng = SystemRng(self.seed * 7919) if self.shadow else None
-        return _Substrate(self.layout, self.hcnt, self.raaimt,
-                          self.blast_radius, rng)
+        mitigation = NoMitigation()
+        if self.shadow:
+            mitigation = Shadow(ShadowConfig(
+                raaimt=self.raaimt, rng_kind="system", rng_seed=self.seed))
+        return _Substrate(self.layout, self.hcnt, self.blast_radius,
+                          mitigation)
 
     def template_phase(self, substrate: _Substrate,
                        victims: List[int]) -> List[Template]:

@@ -1,4 +1,4 @@
-"""Per-scheme security models and the tracker-defense Monte Carlo."""
+"""Per-scheme security models and the interval Monte Carlo per scheme."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.analysis.security import (
     resilient_trr_rank_year,
     sampled_trr_rank_year,
 )
-from repro.analysis.montecarlo import simulate_tracker_defense
+from repro.analysis.montecarlo import simulate_defense
 from repro.dram.subarray import SubarrayLayout
 from repro.rowhammer.adversary import ScenarioIAttacker
 from repro.spec.registry import SCHEMES, UnknownNameError
@@ -95,20 +95,18 @@ class TestTrackerDefenseMonteCarlo:
         mitigation = SCHEMES.build(scheme, **(
             {} if scheme == "none" else {"hcnt": hcnt}))
         attacker = ScenarioIAttacker(self.LAYOUT, 0, SystemRng(7))
-        return simulate_tracker_defense(
+        return simulate_defense(
             attacker, self.LAYOUT, mitigation, hcnt=hcnt,
             intervals=200, **kw)
 
     def test_unprotected_flips(self):
         assert self._run("none").flipped
 
-    def test_mint_defends(self):
-        result = self._run("mint")
+    @pytest.mark.parametrize("scheme", ["mint", "dapper", "shadow"])
+    def test_defends(self, scheme):
+        result = self._run(scheme)
         assert not result.flipped
         assert result.intervals_run == 200
-
-    def test_dapper_defends(self):
-        assert not self._run("dapper").flipped
 
     def test_graphene_defends_at_matched_radius(self):
         result = self._run("graphene", blast_radius=1, ref_every=20)
@@ -125,7 +123,7 @@ class TestTrackerDefenseMonteCarlo:
 
         assert self.LAYOUT.mc_rows_per_bank == 64
         assert self.LAYOUT.da_rows_per_bank == 66
-        result = simulate_tracker_defense(
+        result = simulate_defense(
             FixedRow(), self.LAYOUT, SCHEMES.build("none"), hcnt=10_000,
             intervals=4, ref_every=2)
         assert not result.flipped
@@ -135,8 +133,8 @@ class TestTrackerDefenseMonteCarlo:
         mitigation = SCHEMES.build("none")
         attacker = ScenarioIAttacker(self.LAYOUT, 0, SystemRng(7))
         with pytest.raises(ValueError):
-            simulate_tracker_defense(attacker, self.LAYOUT, mitigation,
-                                     hcnt=64, intervals=0)
+            simulate_defense(attacker, self.LAYOUT, mitigation,
+                             hcnt=64, intervals=0)
 
 
 class TestSecurityCli:
