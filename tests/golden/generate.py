@@ -128,19 +128,21 @@ _BANK_COMMANDS = ("issue_act", "issue_pre", "issue_rd", "issue_wr",
                   "issue_rfm")
 
 
-def run_captured(system, run=None):
+def run_captured(system, run=None, events=None):
     """Run ``system`` recording every bank command as a text event.
 
     Events are ``"<ch>.<rk>.<bk> <OP> [row] @<cycle>"`` in issue order;
     the digest over the joined stream is the cycle-identical fingerprint
     two scheduler implementations must share.  ``run(system)`` replaces
-    ``system.run()`` when given (e.g. to drive another event loop).
+    ``system.run()`` when given (e.g. to drive another event loop).  The
+    events are appended to ``events`` when a list is given.
     """
     from repro.dram.bank import Bank
     from repro.dram.rank import RankTiming
 
     addr_of = {id(bank): addr for addr, bank in system.device.banks.items()}
-    events = []
+    if events is None:
+        events = []
     originals = {}
 
     def make_wrapper(name, orig):

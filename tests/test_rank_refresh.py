@@ -13,19 +13,28 @@ DRAM protocol violation.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.controller.address import MemoryLocation
 from repro.controller.mc import McConfig, MemoryController
 from repro.controller.request import MemoryRequest
+from repro.core import Shadow, ShadowConfig
 from repro.dram.bank import Bank
 from repro.dram.device import BankAddress, DramDevice, DramGeometry
 from repro.dram.subarray import SubarrayLayout
 from repro.dram.timing import DDR4_2666
-from repro.mitigations import Graphene, NoMitigation, Parfm
+from repro.mitigations import (
+    DoubleRefreshRate,
+    Graphene,
+    NoMitigation,
+    Parfm,
+)
+from repro.sim import System, SystemConfig
 from repro.utils.rng import SystemRng
-from tests.golden.generate import SCHEMES, build_system
+from repro.workloads.trace import WorkloadProfile
+from tests.golden.generate import SCHEMES, build_system, run_captured
 from tests.test_dram_bank import _reference_ref
 
 T = DDR4_2666
@@ -203,3 +212,134 @@ def test_golden_scenarios_keep_rank_state(scheme):
     probe.mc = system.mc
     system.run()
     check_rank_state(system.mc, probe.mirrors)
+
+
+# -- REF order between the ranks of one channel --------------------------------------
+
+#: Sparse traffic: a run spans about eight tREFI, and at every tick both
+#: ranks of a channel fall due at once.
+_SPARSE_PIN = WorkloadProfile(
+    name="multi-rank-sparse", mpki=0.5, row_buffer_locality=0.3,
+    write_fraction=0.25, footprint_pages=128)
+#: Denser traffic: banks are still open at some ticks, so PREs close the
+#: second rank while the first one takes its REF.
+_DENSE_PIN = replace(_SPARSE_PIN, name="multi-rank-dense", mpki=8.0)
+
+_PIN_SCENARIOS = {
+    "none": (NoMitigation, _SPARSE_PIN, 200),
+    "parfm": (lambda: Parfm(raaimt=4, rng=SystemRng(43)), _SPARSE_PIN, 200),
+    "shadow": (lambda: Shadow(ShadowConfig(
+        raaimt=4, rng_kind="system", rng_seed=5)), _SPARSE_PIN, 200),
+    "drr": (DoubleRefreshRate, _SPARSE_PIN, 200),
+    "parfm-dense": (lambda: Parfm(raaimt=8, rng=SystemRng(43)),
+                    _DENSE_PIN, 1000),
+}
+
+
+def _run_pin(scenario, events=None):
+    make, profile, requests = _PIN_SCENARIOS[scenario]
+    system = System([profile, profile], make(), config=SystemConfig(
+        geometry=GEOMETRY, seed=7, requests_per_thread=requests))
+    result, digest, n_events = run_captured(system, events=events)
+    stats = result.stats
+    return {
+        "sha256": digest,
+        "events": n_events,
+        "cycles": result.cycles,
+        "thread_finish_cycles": list(result.thread_finish_cycles),
+        "reads_completed": result.reads_completed,
+        "requests_issued": result.requests_issued,
+        "refreshes": result.refreshes,
+        "rfms": result.rfms,
+        "stats": [getattr(stats, name) for name in vars(stats)],
+    }
+
+
+def _pres_before_second_ref(events):
+    """How many REF rounds have a PRE to the second rank to take its REF
+    between the first rank's REF and its own, per channel."""
+    found = 0
+    first_ref = {}  # channel -> rank whose REF opened the round
+    closing = {}    # channel -> a PRE to the other rank seen since
+    for event in events:
+        where, op = event.split()[:2]
+        channel, rank, bank = map(int, where.split("."))
+        if op == "REF" and bank == 0:
+            opened = first_ref.pop(channel, None)
+            if opened is None or opened == rank:
+                first_ref[channel] = rank
+                closing[channel] = False
+            else:
+                found += closing[channel]
+        elif op == "PRE" and channel in first_ref \
+                and rank != first_ref[channel]:
+            closing[channel] = True
+    return found
+
+
+class TestMultiRankStreamPin:
+    """Command streams on two channels of two ranks, where both ranks of
+    a channel fall due at every tREFI tick: the REF order between them,
+    the PREs that close the second rank and the REF credit to the RAA
+    counters (RAAIMT 4, so RFMs issue between REFs).  Recorded before
+    the REF candidate, the REF issue and the RAA credit went inline."""
+
+    PINS = {
+        "none": {
+            "sha256": "9ef0c09dcd3ead7af345640a817b65865eb1b1f5"
+                      "5dfe094ca88e7cfb3badf3bd",
+            "events": 1253, "cycles": 85556,
+            "thread_finish_cycles": [84667, 85556],
+            "reads_completed": 304, "requests_issued": 400,
+            "refreshes": 32, "rfms": 0,
+            "stats": [365, 360, 304, 96, 128, 0, 400, 365, 246, 0]},
+        "parfm": {
+            "sha256": "519bb45a1121accfae7aca08eecbbe4702a85429"
+                      "90c251d2c3f6c6836b7933e8",
+            "events": 1412, "cycles": 85556,
+            "thread_finish_cycles": [84667, 85556],
+            "reads_completed": 304, "requests_issued": 400,
+            "refreshes": 32, "rfms": 53,
+            "stats": [418, 413, 304, 96, 128, 53, 400, 418, 246, 0]},
+        "shadow": {
+            "sha256": "ee4387c922c124cc51da145555ca556c86fb54c1"
+                      "4ba6ebe320b796c9a5075287",
+            "events": 1412, "cycles": 85556,
+            "thread_finish_cycles": [84667, 85556],
+            "reads_completed": 304, "requests_issued": 400,
+            "refreshes": 32, "rfms": 53,
+            "stats": [418, 413, 304, 96, 128, 53, 400, 418, 246, 2508]},
+        "drr": {
+            "sha256": "af79e1d53f4eaab3d987521992fe52964f15a2fa"
+                      "00d247900c935bad293c756e",
+            "events": 1401, "cycles": 85556,
+            "thread_finish_cycles": [84667, 85556],
+            "reads_completed": 304, "requests_issued": 400,
+            "refreshes": 64, "rfms": 0,
+            "stats": [375, 370, 304, 96, 256, 0, 400, 375, 186, 0]},
+        "parfm-dense": {
+            "sha256": "ab454f4c62bbe53c60ea310027ee5a3f881bb5c6"
+                      "97bef27673f0ef22d727ec03",
+            "events": 6045, "cycles": 27939,
+            "thread_finish_cycles": [27939, 27785],
+            "reads_completed": 1507, "requests_issued": 2000,
+            "refreshes": 8, "rfms": 213,
+            "stats": [1908, 1892, 1507, 493, 32, 213, 2000, 1908, 1655,
+                      0]},
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(_PIN_SCENARIOS))
+    def test_stream_matches_pin(self, scenario):
+        assert _run_pin(scenario) == self.PINS[scenario]
+
+    def test_sparse_runs_cross_four_ticks_per_rank(self):
+        ranks = GEOMETRY.channels * GEOMETRY.ranks_per_channel
+        for scenario, pin in self.PINS.items():
+            if scenario != "parfm-dense":
+                assert pin["refreshes"] >= 4 * ranks, scenario
+                assert pin["cycles"] >= 4 * T.tREFI, scenario
+
+    def test_dense_run_closes_the_second_rank_after_the_first_ref(self):
+        events = []
+        _run_pin("parfm-dense", events)
+        assert _pres_before_second_ref(events) >= 1
