@@ -9,7 +9,7 @@ the RFM subtracts RAAIMT, and an all-bank REF also credits the counter
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 from repro.dram.device import BankAddress
 
@@ -25,6 +25,13 @@ class RaaCounterBank:
     which is the scheduler's RFM tie-break: a bank that becomes due is
     appended, and the list is sorted by insertion position only when it
     already held another bank.
+
+    ``_clean`` marks *clean* ranks: the REF that leaves every bank of a
+    rank present and at zero maps the rank's ``(channel, rank)`` to the
+    bank sequence it credited, and the ACT that lifts any counter of the
+    rank from zero drops the mark.  A credit to a clean rank changes no
+    counter, no insertion order and no due list, so ``on_ref_all`` on
+    the same sequence returns at once: an idle rank's REF costs O(1).
     """
 
     raaimt: int
@@ -39,6 +46,10 @@ class RaaCounterBank:
     _order: Dict[BankAddress, int] = field(default_factory=dict,
                                            init=False, repr=False,
                                            compare=False)
+    #: ``(channel, rank)`` -> the bank sequence whose credit left every
+    #: counter in it at zero, while no ACT has lifted one since.
+    _clean: Dict[Tuple[int, int], Sequence[BankAddress]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.raaimt <= 0:
@@ -65,6 +76,8 @@ class RaaCounterBank:
         exactly these crossings)."""
         value = self.counters.get(addr, 0) + 1
         self.counters[addr] = value
+        if value == 1 and self._clean:
+            self._clean.pop(addr[:2], None)  # (channel, rank)
         if value == self.raaimt:
             banks = self.due.get(addr.channel)
             if banks is None:
@@ -103,16 +116,24 @@ class RaaCounterBank:
     def on_ref(self, addr: BankAddress) -> None:
         self.on_ref_all((addr,))
 
-    def on_ref_all(self, addrs) -> None:
-        """Credit one all-bank REF to every bank in ``addrs``.
+    def on_ref_all(self, addrs: Sequence[BankAddress]) -> None:
+        """Credit one all-bank REF to every bank in ``addrs``, which are
+        banks of one rank.
 
         A bank at zero costs one dict probe.  An absent bank is inserted
         at zero, in ``addrs`` order, exactly as a per-bank credit would
-        insert it: insertion order is the RFM tie-break.
+        insert it: insertion order is the RFM tie-break.  When the
+        credit leaves every bank of ``addrs`` at zero, the rank is
+        marked clean, and the next credit of the same ``addrs`` object
+        returns at once unless an ACT to the rank came in between.
         """
+        key = addrs[0][:2]  # (channel, rank)
+        if self._clean.get(key) is addrs:
+            return
         counters = self.counters
         credit = self.ref_credit
         raaimt = self.raaimt
+        clean = True
         for addr in addrs:
             old = counters.get(addr)
             if not old:
@@ -120,8 +141,12 @@ class RaaCounterBank:
                     counters[addr] = 0
                 continue
             new = old - credit
-            if new < 0:
+            if new > 0:
+                clean = False
+            else:
                 new = 0
             counters[addr] = new
             if old >= raaimt > new:
                 self._undue(addr)
+        if clean:
+            self._clean[key] = addrs

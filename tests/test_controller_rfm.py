@@ -150,3 +150,98 @@ def test_due_lists_match_a_rebuild(raaimt, credit, start, ops):
         assert raa.due == _rebuilt_due(raa)
         assert raa.due_count == sum(count >= raaimt
                                     for count in raa.counters.values())
+
+
+# -- clean ranks -------------------------------------------------------------------
+
+#: Two ranks of three banks; each REF passes its rank's one list, as the
+#: controller does, so a REF to a rank left clean skips its credit.
+_RANK_BANKS = [[BankAddress(0, rank, bank) for bank in range(3)]
+               for rank in range(2)]
+_RANK_ADDRS = [addr for banks in _RANK_BANKS for addr in banks]
+
+_RANK_OPS = st.one_of(
+    st.tuples(st.just("act"), st.integers(0, len(_RANK_ADDRS) - 1)),
+    st.tuples(st.just("rfm"), st.integers(0, len(_RANK_ADDRS) - 1)),
+    st.tuples(st.just("ref"), st.integers(0, 1)))
+
+
+def _plain_due(counters, raaimt):
+    due = {}
+    for addr, count in counters.items():
+        if count >= raaimt:
+            due.setdefault(addr.channel, []).append(addr)
+    return due
+
+
+@settings(max_examples=300, deadline=None)
+@given(raaimt=st.integers(1, 5), credit=st.one_of(st.none(),
+                                                   st.integers(0, 6)),
+       start=st.dictionaries(st.integers(0, len(_RANK_ADDRS) - 1),
+                             st.integers(0, 12), max_size=4),
+       ops=st.lists(_RANK_OPS, max_size=100))
+def test_raa_credit_equals_a_plain_per_bank_credit(raaimt, credit, start,
+                                                   ops):
+    """Counters, their insertion order, ``due`` and ``rfms_issued``
+    equal a plain per-bank model after every ACT, RFM and REF, from
+    pre-filled counters and with REF credits below RAAIMT too."""
+    initial = {_RANK_ADDRS[i]: count for i, count in start.items()}
+    raa = RaaCounterBank(raaimt=raaimt, ref_credit=credit,
+                         counters=dict(initial))
+    credit = raaimt if credit is None else credit
+    plain = dict(initial)
+    rfms = 0
+    for op in ops:
+        if op[0] == "act":
+            addr = _RANK_ADDRS[op[1]]
+            raa.on_activate(addr)
+            plain[addr] = plain.get(addr, 0) + 1
+        elif op[0] == "rfm":
+            addr = _RANK_ADDRS[op[1]]
+            due = plain.get(addr, 0) >= raaimt
+            assert raa.rfm_needed(addr) == due
+            if due:
+                raa.on_rfm(addr)
+                plain[addr] -= raaimt
+                rfms += 1
+        else:
+            banks = _RANK_BANKS[op[1]]
+            raa.on_ref_all(banks)
+            for addr in banks:
+                plain[addr] = max(0, plain.get(addr, 0) - credit)
+        assert list(raa.counters.items()) == list(plain.items())
+        assert raa.due == _plain_due(plain, raaimt)
+        assert raa.rfms_issued == rfms
+
+
+class _CountingDict(dict):
+    """A counters dict that counts its ``get`` calls."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def test_ref_to_a_clean_rank_reads_no_counter():
+    counters = _CountingDict()
+    raa = RaaCounterBank(raaimt=4, counters=counters)
+    rank, other = _RANK_BANKS
+    raa.on_activate(rank[1])
+    raa.on_ref_all(rank)            # leaves the rank at zero: clean
+    reads = counters.gets
+    raa.on_ref_all(rank)
+    assert counters.gets == reads
+    raa.on_activate(other[0])       # another rank's ACT keeps it clean
+    reads = counters.gets
+    raa.on_ref_all(rank)
+    assert counters.gets == reads
+    raa.on_activate(rank[2])        # lifts a counter from zero
+    raa.on_ref_all(rank)
+    assert counters.gets > reads + 1
+    assert raa.count(rank[2]) == 0
+    # A list of the same banks is another sequence: credited in full.
+    reads = counters.gets
+    raa.on_ref_all(list(rank))
+    assert counters.gets == reads + len(rank)
