@@ -3,10 +3,13 @@
 This module is the single source of truth for the golden suite: the
 scenario definitions, the command-stream capture hook, and the recorded
 fields all live here.  ``python tests/golden/generate.py`` (re)writes
-``scheduler_golden.json`` next to it; ``tests/test_scheduler_equivalence.py``
-imports this module and asserts the current controller reproduces the
-recorded values *exactly* -- same ``SystemResult``, same per-bank command
-stream (op, row, cycle), same mitigation-visible side effects.
+``scheduler_golden.json`` and ``injector_golden.json`` next to it;
+``tests/test_scheduler_equivalence.py`` imports this module and asserts
+the current controller reproduces the recorded values *exactly* -- same
+``SystemResult``, same per-bank command stream (op, row, cycle), same
+mitigation-visible side effects -- and ``tests/test_injector_golden.py``
+replays every scenario with a fault injector attached and asserts the
+same stream plus the injector's pinned report.
 
 The committed golden file was generated against the seed (pre-PR2)
 controller, so these tests prove the incremental scheduler is
@@ -36,10 +39,12 @@ from repro.mitigations import (
     RandomizedRowSwap,
 )
 from repro.sim import System, SystemConfig
+from repro.spec import FaultSpec
 from repro.utils.rng import SystemRng
 from repro.workloads.trace import WorkloadProfile
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "scheduler_golden.json"
+INJECTOR_GOLDEN_PATH = GOLDEN_PATH.with_name("injector_golden.json")
 
 GEOMETRY = DramGeometry(
     channels=2, ranks_per_channel=1, banks_per_rank=8,
@@ -107,10 +112,17 @@ def make_mitigation(scheme: str):
 
 
 #: Scenario names: a scheme runs ``THREADS``, and a scheme with the
-#: ``-refresh`` suffix runs ``REFRESH_THREADS``.
+#: ``-refresh`` suffix runs ``REFRESH_THREADS``.  ``dapper-refresh`` is
+#: the one run in which REFs wrap the refresh window through a
+#: ``"ref-window"`` tracker reset.
 SCHEMES = ("none", "shadow", "rrs", "blockhammer", "graphene", "mithril",
            "para", "parfm", "mint", "dapper", "filtered",
-           "parfm-refresh", "shadow-refresh")
+           "parfm-refresh", "shadow-refresh", "dapper-refresh")
+
+#: The fault injector every scenario is replayed with.  ``hcnt=8`` is
+#: low enough that bits flip in every scenario, so the injector's ACT,
+#: outcome and refresh hooks all run; its report is pinned by digest.
+FAULTS = FaultSpec(hcnt=8, seed=7)
 
 
 def build_system(scheme: str, obs=None, observer=None):
@@ -220,19 +232,54 @@ def scenario_record(scheme: str) -> dict:
     return record
 
 
+def injector_run(scheme: str):
+    """Run ``scheme`` with a fresh ``FAULTS`` injector as its observer;
+    returns ``(result, stream digest, event count, injector report)``."""
+    injector = FAULTS.build()
+    system, _mitigation = build_system(scheme, observer=injector)
+    result, digest, n_events = run_captured(system)
+    return result, digest, n_events, injector.report()
+
+
+def report_digest(report: dict) -> str:
+    return hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def injector_record(scheme: str) -> dict:
+    """The pinned injector outcome: the report digest, plus the counts
+    a diverging run is easiest to read from."""
+    _result, _digest, _n, report = injector_run(scheme)
+    counts = report["counts"]
+    return {
+        "report_sha256": report_digest(report),
+        "bits_injected": counts["bits_injected"],
+        "scrub_corrected": counts["scrub_corrected"],
+        "rows_flipped": report["rows_flipped"],
+    }
+
+
 def generate() -> dict:
     golden = {scheme: scenario_record(scheme) for scheme in SCHEMES}
     return golden
 
 
+def _write(path: Path, golden: dict) -> None:
+    path.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+
+
 def main() -> None:
     golden = generate()
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
+    _write(GOLDEN_PATH, golden)
+    injected = {scheme: injector_record(scheme) for scheme in SCHEMES}
+    _write(INJECTOR_GOLDEN_PATH, injected)
     for scheme, record in golden.items():
-        print(f"{scheme:>12}: cycles={record['cycles']} "
+        print(f"{scheme:>14}: cycles={record['cycles']} "
               f"events={record['command_stream_events']} "
-              f"sha={record['command_stream_sha256'][:12]}")
+              f"sha={record['command_stream_sha256'][:12]} "
+              f"bits={injected[scheme]['bits_injected']} "
+              f"scrubbed={injected[scheme]['scrub_corrected']}")
 
 
 if __name__ == "__main__":
