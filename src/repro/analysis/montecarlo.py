@@ -93,8 +93,8 @@ def simulate_defense(attacker, layout: SubarrayLayout,
             model.on_rfm_outcome(
                 _ADDR, mitigation.on_rfm(_ADDR, interval), interval)
         if ref_every and (interval + 1) % ref_every == 0:
-            model.on_refresh_range(_ADDR, 0, rows, cycle=interval)
-            mitigation.on_ref(_ADDR, 0, rows, interval)
+            model.on_refresh((_ADDR,), 0, rows, cycle=interval)
+            mitigation.on_ref((_ADDR,), 0, rows, interval)
         mitigation.check_invariants()
 
     return MonteCarloResult(

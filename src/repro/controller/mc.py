@@ -193,19 +193,18 @@ class MemoryController:
             ctx.chan = device.channels[addr.channel]
             self._ctx[addr] = ctx
             rank_banks.setdefault(rank_key, []).append(ctx)
-        # Per channel, each rank's ``(rank index, refresh tracker,
-        # RankTiming, REF target)``; the REF target is
-        # ``(channel, rank, tracker, ctxs, chan, rank_timing, addrs)``,
-        # with the rank's contexts and addresses in bank order, built
-        # once so an all-bank REF is one call per layer.
+        # Per channel, each rank's REF target ``(rank index, refresh
+        # tracker, RankTiming, ctxs, addrs)``, with the rank's contexts
+        # and addresses in bank order.  ``addrs`` is built once: every
+        # all-bank REF hands that same list to the RAA counters, the
+        # mitigation and the observer, one call each.
         self._chan_refresh: Dict[int, List[Tuple]] = {
             ch: [] for ch in range(geometry.channels)}
         for (ch, rk), tracker in self.refresh.items():
             ctxs = rank_banks[(ch, rk)]
-            rank = device.ranks[(ch, rk)]
-            self._chan_refresh[ch].append((rk, tracker, rank, (
-                ch, rk, tracker, ctxs, device.channels[ch], rank,
-                [ctx.addr for ctx in ctxs])))
+            self._chan_refresh[ch].append(
+                (rk, tracker, device.ranks[(ch, rk)], ctxs,
+                 [ctx.addr for ctx in ctxs]))
         # Flat dense index for the enqueue hot path: avoids building a
         # BankAddress and hashing it per request.
         self._nranks = geometry.ranks_per_channel
@@ -280,7 +279,6 @@ class MemoryController:
         self._tbuf = None
         self._count = False
         self._lat_hist = None
-        self._rank_tracks: Dict[Tuple[int, int], int] = {}
         if obs is not None:
             self._metrics = obs.metrics
             self._trace = obs.sink
@@ -292,20 +290,18 @@ class MemoryController:
                     "request.latency_cycles")
             mitigation.register_event_listener(self._mitigation_event)
         # Trace lane layout: pid = channel; tid 1.. for banks in
-        # (rank, bank) order, then one lane per rank for REF spans.
+        # (rank, bank) order, then one lane per rank for REF spans, at
+        # ``_ref_track_base + rank``.
         bpr = geometry.banks_per_rank
-        rank_base = 1 + geometry.ranks_per_channel * bpr
+        self._ref_track_base = 1 + geometry.ranks_per_channel * bpr
         for addr, ctx in self._ctx.items():
             ctx.track = 1 + addr.rank * bpr + addr.bank
-        for ch in range(geometry.channels):
-            for rk in range(geometry.ranks_per_channel):
-                self._rank_tracks[(ch, rk)] = rank_base + rk
         trace = self._trace
         if trace is not None:
             for ch in range(geometry.channels):
                 trace.declare_process(ch, f"channel {ch}")
                 for rk in range(geometry.ranks_per_channel):
-                    trace.declare_track(ch, self._rank_tracks[(ch, rk)],
+                    trace.declare_track(ch, self._ref_track_base + rk,
                                         f"rk{rk} REF")
             for addr, ctx in self._ctx.items():
                 trace.declare_track(addr.channel, ctx.track,
@@ -484,7 +480,8 @@ class MemoryController:
             elif op == _OP_ACT:
                 self._do_act(cycle, target, payload)
             elif op == _OP_REF:
-                _ch, rank_index, tracker, _ctxs, chan, rank, addrs = target
+                rank_index, tracker, rank, _ctxs, addrs = target
+                chan = self._chans[channel]
                 if cycle < chan._cmd_free_at or \
                         cycle < chan._blocked_until:
                     raise RuntimeError("DRAM protocol violation: "
@@ -493,9 +490,10 @@ class MemoryController:
                 chan.commands_issued += 1
                 lo, hi = tracker.record_ref(cycle)
                 if self._tbuf is not None:
-                    self._tbuf.append(("X", channel, self._rank_tracks[
-                        (channel, rank_index)], "REF", "cmd", cycle,
-                        self._dur_ref, {"lo": lo, "hi": hi}))
+                    self._tbuf.append((
+                        "X", channel, self._ref_track_base + rank_index,
+                        "REF", "cmd", cycle, self._dur_ref,
+                        {"lo": lo, "hi": hi}))
                 rank.issue_ref(cycle)
                 # Only active banks are ever recomputed, and every
                 # enqueue marks its bank dirty, so the REF need only
@@ -503,21 +501,14 @@ class MemoryController:
                 for ctx in self._active[channel]:
                     if ctx.rank_index == rank_index:
                         ctx.dirty = True
+                # One call per layer, each given the rank's banks in
+                # bank order; observers wrap [lo, hi) modulo the rows.
                 if self.raa is not None:
                     self.raa.on_ref_all(addrs)
-                # The per-bank fan-outs run as separate loops (bank order
-                # preserved within each hook) so a non-observing
-                # mitigation or an absent observer pays nothing per bank.
                 if self._observes_ref:
-                    on_ref = self.mitigation.on_ref
-                    for addr in addrs:
-                        on_ref(addr, lo, hi, cycle)
-                observer = self.observer
-                if observer is not None:
-                    on_range = observer.on_refresh_range
-                    for addr in addrs:
-                        # Observers wrap [lo, hi) modulo the row count.
-                        on_range(addr, lo, hi, cycle)
+                    self.mitigation.on_ref(addrs, lo, hi, cycle)
+                if self.observer is not None:
+                    self.observer.on_refresh(addrs, lo, hi, cycle)
             else:
                 self._do_rfm(cycle, target)
             best = best_candidate(channel, until)
@@ -545,8 +536,8 @@ class MemoryController:
 
         refresh_draining_ranks = None
         horizon = None
-        for rank_index, tracker, rank, ref in self._chan_refresh[channel]:
-            due = tracker.next_due
+        for ref in self._chan_refresh[channel]:
+            due = ref[1].next_due
             if due > until:
                 # Earliest not-yet-due REF tick: the validity horizon
                 # for reusing this scan's winner across drains.
@@ -560,12 +551,13 @@ class MemoryController:
                 ref_floor = chan._cmd_free_at
                 if ref_floor < chan._blocked_until:
                     ref_floor = chan._blocked_until
+            rank_index, _tracker, rank, ctxs, _addrs = ref
             refresh_draining_ranks.add(rank_index)
             # Every refresh candidate has prio _PRIO_REFRESH and age 0,
             # and only refresh candidates precede this loop's end, so the
             # (earliest, prio, age) rule reduces to ``e < best_e``.
             if rank.open_banks:
-                e, ctx = self._refresh_candidate(ref[3], ref_floor)
+                e, ctx = self._refresh_candidate(ctxs, ref_floor)
                 if (not have_best) or e < best_e:
                     have_best = True
                     best_e, best_p, best_a = e, _PRIO_REFRESH, 0

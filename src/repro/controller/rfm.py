@@ -113,9 +113,6 @@ class RaaCounterBank:
             self._undue(addr)
         self.rfms_issued += 1
 
-    def on_ref(self, addr: BankAddress) -> None:
-        self.on_ref_all((addr,))
-
     def on_ref_all(self, addrs: Sequence[BankAddress]) -> None:
         """Credit one all-bank REF to every bank in ``addrs``, which are
         banks of one rank.

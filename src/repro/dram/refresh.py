@@ -34,7 +34,6 @@ class RefreshTracker:
         self._rows_per_ref = -(-self.rows_per_bank // self._refs_per_window)
         self._pointer = 0
         self.next_due = self.timing.tREFI
-        self.refs_issued = 0
 
     def is_due(self, cycle: int) -> bool:
         return cycle >= self.next_due
@@ -48,7 +47,6 @@ class RefreshTracker:
         lo = self._pointer
         hi = lo + self._rows_per_ref
         self._pointer = hi % self.rows_per_bank
-        self.refs_issued += 1
         self.next_due += self.timing.tREFI
         if self.next_due <= cycle:
             # The MC fell behind (e.g. long blocking); re-anchor so refreshes

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.dram.device import BankAddress, DramGeometry
 from repro.dram.timing import TimingParams
@@ -73,7 +73,7 @@ class Mitigation(abc.ABC):
     name = "base"
     #: The hooks the controller drives, a subset of ``{"act", "ref",
     #: "throttle", "remap"}``: ``"act"`` -> :meth:`on_activate` per ACT,
-    #: ``"ref"`` -> :meth:`on_ref` per bank per REF, ``"throttle"`` ->
+    #: ``"ref"`` -> :meth:`on_ref` once per REF, ``"throttle"`` ->
     #: :meth:`before_activate` per candidate ACT (no candidate memo or
     #: prune), ``"remap"`` -> :meth:`translate` /
     #: :meth:`translation_generation` instead of the cached identity
@@ -209,9 +209,10 @@ class Mitigation(abc.ABC):
         """Perform the scheme's RFM-hosted mitigating action."""
         return RfmOutcome()
 
-    def on_ref(self, addr: BankAddress, lo_row: int, hi_row: int,
-               cycle: int) -> None:
-        """Observe an auto-refresh covering DA rows ``[lo, hi)``."""
+    def on_ref(self, addrs: Sequence[BankAddress], lo_row: int,
+               hi_row: int, cycle: int) -> None:
+        """Observe one all-bank REF covering DA rows ``[lo, hi)`` of
+        every bank in ``addrs`` (one rank's banks, in bank order)."""
 
     # -- reporting ---------------------------------------------------------------
 

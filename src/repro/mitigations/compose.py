@@ -38,7 +38,7 @@ hooks the subclass declares itself (RRS adds ``"remap"`` for its own
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from repro.dram.device import BankAddress
 from repro.mitigations.base import ActOutcome, Mitigation, RfmOutcome
@@ -323,18 +323,20 @@ class ComposedMitigation(Mitigation):
             self._reset_tracker(state, addr, cycle)
         return outcome
 
-    def on_ref(self, addr: BankAddress, lo_row: int, hi_row: int,
-               cycle: int) -> None:
-        """The ``"ref-window"`` cadence: reset each bank's tracker when
-        the refresh sweep wraps to row 0.  Clearing per REF segment would
-        be more precise but strictly weaker for the attacker.  Resilient
-        trackers decay instead of clearing (their ``window_reset``).  A
-        no-op for every other cadence, so callers that drive ``on_ref``
-        on any scheme stay correct."""
+    def on_ref(self, addrs: Sequence[BankAddress], lo_row: int,
+               hi_row: int, cycle: int) -> None:
+        """The ``"ref-window"`` cadence: reset each bank's tracker, in
+        ``addrs`` order, when the refresh sweep wraps to row 0.  Clearing
+        per REF segment would be more precise but strictly weaker for
+        the attacker.  Resilient trackers decay instead of clearing
+        (their ``window_reset``).  A no-op for every other cadence, so
+        callers that drive ``on_ref`` on any scheme stay correct."""
         if lo_row == 0 and self.reset_cadence == "ref-window":
-            state = self._states.get(addr)
-            if state is not None:
-                self._reset_tracker(state, addr, cycle)
+            states = self._states
+            for addr in addrs:
+                state = states.get(addr)
+                if state is not None:
+                    self._reset_tracker(state, addr, cycle)
 
 
 __all__ = [

@@ -16,7 +16,7 @@ filter saves the *extra* mitigations a scheme would otherwise need).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Sequence
 
 from repro.dram.device import BankAddress
 from repro.mitigations.base import ActOutcome, Mitigation, RfmOutcome
@@ -90,9 +90,9 @@ class FilteredRfm(Mitigation):
                         cycle: int) -> int:
         return self.inner.before_activate(addr, pa_row, cycle)
 
-    def on_ref(self, addr: BankAddress, lo_row: int, hi_row: int,
-               cycle: int) -> None:
-        self.inner.on_ref(addr, lo_row, hi_row, cycle)
+    def on_ref(self, addrs: Sequence[BankAddress], lo_row: int,
+               hi_row: int, cycle: int) -> None:
+        self.inner.on_ref(addrs, lo_row, hi_row, cycle)
 
     # -- the filter ------------------------------------------------------------------
 

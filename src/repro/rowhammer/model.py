@@ -27,7 +27,10 @@ Observer contract (what the memory controller reports, in DA space):
   ``RfmOutcome.refreshed_rows`` to ``on_row_refresh`` and then
   ``RfmOutcome.copies`` to ``on_row_copy`` (disturbance and any
   injected bit flips travel with the row's content);
-* each auto-refresh sweep segment -> ``on_refresh_range``.
+* each all-bank REF -> one ``on_refresh`` call with the rank's bank
+  addresses in bank order and the sweep segment ``[lo, hi)`` every one
+  of those banks refreshed (``hi`` may pass the bank's row count; the
+  observer wraps it).
 
 With ``refresh_hammers_neighbors`` enabled, targeted refreshes are
 themselves half-rate aggressors (the Half-Double lever), so a TRR
@@ -39,7 +42,7 @@ bench gate asserts cycle-for-cycle equality with the observer detached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.dram.device import BankAddress
 from repro.dram.subarray import SubarrayLayout
@@ -119,7 +122,7 @@ class DisturbanceModel:
     """Per-row weighted disturbance counters with reset semantics.
 
     Implements the observer interface the memory controller calls (see
-    the module docstring): ``on_activate``, ``on_refresh_range``,
+    the module docstring): ``on_activate``, ``on_refresh``,
     ``on_act_outcome`` and ``on_rfm_outcome``.
     """
 
@@ -171,15 +174,17 @@ class DisturbanceModel:
             if value >= hcnt:
                 self._record_flip(addr, victim, cycle, value)
 
-    def on_refresh_range(self, addr: BankAddress, lo: int, hi: int,
-                         cycle: int) -> None:
-        """Auto-refresh of DA rows ``[lo, hi)`` (wrapping modulo the bank)."""
-        bank = self._counters.get(addr)
-        if not bank:
-            return
+    def on_refresh(self, addrs: Sequence[BankAddress], lo: int, hi: int,
+                   cycle: int) -> None:
+        """One all-bank REF: auto-refresh of DA rows ``[lo, hi)``
+        (wrapping modulo the bank) in every bank of ``addrs``."""
+        counters = self._counters
         rows = self.config.layout.da_rows_per_bank
-        for r in range(lo, hi):
-            bank.pop(r % rows, None)
+        for addr in addrs:
+            bank = counters.get(addr)
+            if bank:
+                for r in range(lo, hi):
+                    bank.pop(r % rows, None)
 
     def on_row_refresh(self, addr: BankAddress, da_row: int,
                        cycle: int) -> None:

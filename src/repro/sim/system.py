@@ -157,7 +157,7 @@ class System:
             sampler.sample(last_cycle)
 
         stats = self.device.aggregate_stats()
-        refreshes = sum(t.refs_issued for t in self.mc.refresh.values())
+        refreshes = sum(rank.refs for rank in self.device.ranks.values())
         rfms = self.mc.raa.rfms_issued if self.mc.raa else 0
         result = SystemResult(
             cycles=last_cycle,

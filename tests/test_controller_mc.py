@@ -127,8 +127,7 @@ class TestRefresh:
             assert wake is not None
             cycle = wake
             mc.drain(0, cycle)
-        tracker = mc.refresh[(0, 0)]
-        assert tracker.refs_issued >= 4
+        assert device.ranks[(0, 0)].refs >= 4
         assert device.aggregate_stats().refreshes >= 4 * SMALL.banks_per_rank
 
     def test_refresh_blocks_demand(self):
@@ -151,8 +150,8 @@ class TestRefresh:
             def on_activate(self, *a):
                 pass
 
-            def on_refresh_range(self, addr, lo, hi, cycle):
-                Spy.ranges.append((addr, lo, hi))
+            def on_refresh(self, addrs, lo, hi, cycle):
+                Spy.ranges.append((addrs, lo, hi))
 
             def on_row_refresh(self, *a):
                 pass

@@ -41,7 +41,7 @@ def test_ref_credits_counter():
     raa = RaaCounterBank(raaimt=8)
     for _ in range(5):
         raa.on_activate(A)
-    raa.on_ref(A)
+    raa.on_ref_all((A,))
     assert raa.count(A) == 0  # floor at zero
 
 
@@ -49,7 +49,7 @@ def test_custom_ref_credit():
     raa = RaaCounterBank(raaimt=8, ref_credit=2)
     for _ in range(5):
         raa.on_activate(A)
-    raa.on_ref(A)
+    raa.on_ref_all((A,))
     assert raa.count(A) == 3
 
 
@@ -95,7 +95,7 @@ def test_ref_all_equals_sequential_on_ref(raaimt, credit, start, rank):
     together, one_by_one = fresh(), fresh()
     together.on_ref_all(addrs)
     for addr in addrs:
-        one_by_one.on_ref(addr)
+        one_by_one.on_ref_all((addr,))
     want = dict(initial)
     due = fresh().due_count
     for addr in addrs:

@@ -229,7 +229,7 @@ class TestFaultInjector:
                     + injector.ecc.flipped_bits((ADDR, 12)))
         assert resident > 0
         rows = LAYOUT.da_rows_per_bank
-        injector.on_refresh_range(ADDR, 0, rows, cycle=999)
+        injector.on_refresh((ADDR,), 0, rows, cycle=999)
         assert injector.counts["scrub_corrected"] == resident
         assert injector.ecc.flipped_bits((ADDR, 10)) == 0
         # ... and the sweep reset the disturbance counters too.

@@ -56,9 +56,7 @@ def check_rank_state(mc, mirrors):
         banks = rank.banks
         assert rank.open_banks == sum(
             bank.open_row is not None for bank in banks), key
-        tracker = mc.refresh.get(key)
-        refs = tracker.refs_issued if tracker is not None else 0
-        assert rank.refs == refs, key
+        refs = rank.refs
         refreshed += refs * len(banks)
         chan = device.channels[key[0]]
         ready = []
@@ -130,17 +128,14 @@ class _Probe:
         check_rank_state(self.mc, self.mirrors)
         self.checks += 1
 
-    def on_refresh_range(self, addr, lo, hi, cycle):
-        mirror = self.mirrors.get(addr)
-        if mirror is None:
-            self.mirrors[addr] = mirror = Bank(T)
-        _reference_ref(mirror, cycle)
-        # The REF reaches its banks in bank order: check once the last
-        # one has its mirror updated.
-        rank = self.mc.device.ranks[(addr.channel, addr.rank)]
-        if addr.bank == len(rank.banks) - 1:
-            check_rank_state(self.mc, self.mirrors)
-            self.checks += 1
+    def on_refresh(self, addrs, lo, hi, cycle):
+        for addr in addrs:
+            mirror = self.mirrors.get(addr)
+            if mirror is None:
+                self.mirrors[addr] = mirror = Bank(T)
+            _reference_ref(mirror, cycle)
+        check_rank_state(self.mc, self.mirrors)
+        self.checks += 1
 
 
 def run_random(mitigation, seed, n_requests=600):

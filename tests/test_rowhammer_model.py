@@ -122,7 +122,7 @@ class TestResets:
         model.on_activate(ADDR, 10, cycle=0)
         model.on_activate(ADDR, 2, cycle=1)
         # A wrapping range [rows - 1, rows + 4) covers rows 0..3.
-        model.on_refresh_range(ADDR, rows - 1, rows + 4, cycle=2)
+        model.on_refresh((ADDR,), rows - 1, rows + 4, cycle=2)
         assert model.disturbance(ADDR, 1) == 0.0
         assert model.disturbance(ADDR, 3) == 0.0
         assert model.disturbance(ADDR, 11) == 1.0
@@ -159,8 +159,7 @@ class TestIncrementalRefreshSweep:
     The controller refreshes each bank in consecutive ``[lo, hi)``
     windows (wrapping modulo the bank); after one full pass every
     accumulated counter must be gone.  Runs against both the base model
-    and the FaultInjector subclass, whose on_refresh_range inlines the
-    sweep for speed -- exactly the kind of duplication this pins.
+    and the FaultInjector subclass, which adds a scrub to the sweep.
     """
 
     def _models(self, hcnt=10**6):
@@ -172,7 +171,7 @@ class TestIncrementalRefreshSweep:
         for model in self._models():
             for i in range(8):
                 model.on_activate(ADDR, 10, cycle=i)   # victims 7..13
-            model.on_refresh_range(ADDR, 7, 11, cycle=8)
+            model.on_refresh((ADDR,), 7, 11, cycle=8)
             for row in (7, 8, 9, 10):
                 assert model.disturbance(ADDR, row) == 0.0
             for row in (11, 12, 13):
@@ -189,7 +188,7 @@ class TestIncrementalRefreshSweep:
             # One tREFW worth of REFs: consecutive wrapping windows.
             lo = rows - 5                 # start mid-wrap on purpose
             for _ in range((rows + window - 1) // window + 1):
-                model.on_refresh_range(ADDR, lo, lo + window, cycle=9)
+                model.on_refresh((ADDR,), lo, lo + window, cycle=9)
                 lo = (lo + window) % rows
             assert model.max_disturbance() == 0.0
 
@@ -198,7 +197,19 @@ class TestIncrementalRefreshSweep:
         for model in self._models():
             model.on_activate(ADDR, 10, cycle=0)
             model.on_activate(other, 10, cycle=0)
-            model.on_refresh_range(ADDR, 0, LAYOUT.da_rows_per_bank,
-                                   cycle=1)
+            model.on_refresh((ADDR,), 0, LAYOUT.da_rows_per_bank, cycle=1)
             assert model.disturbance(ADDR, 11) == 0.0
             assert model.disturbance(other, 11) == 1.0
+
+    def test_one_call_sweeps_every_named_bank(self):
+        # An all-bank REF is one call with the rank's banks.
+        banks = [BankAddress(0, 0, b) for b in range(3)]
+        spare = BankAddress(0, 0, 3)
+        for model in self._models():
+            for addr in banks + [spare]:
+                model.on_activate(addr, 10, cycle=0)
+            model.on_refresh(banks, 9, 12, cycle=1)
+            for addr in banks:
+                assert model.disturbance(addr, 11) == 0.0
+                assert model.disturbance(addr, 12) > 0.0
+            assert model.disturbance(spare, 11) == 1.0
