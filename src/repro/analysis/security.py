@@ -333,8 +333,8 @@ def shadow_security_model(hcnt: int, raaimt: Optional[int] = None,
                           **kw) -> Dict[str, float]:
     """Appendix XI (Table II): the three-scenario SHADOW analysis."""
     if raaimt is None:
-        from repro.mitigations.parfm import shadow_raaimt
-        raaimt = shadow_raaimt(hcnt)
+        from repro.core.config import secure_raaimt
+        raaimt = secure_raaimt(hcnt)
     analysis = SecurityAnalysis(
         SecurityParams(hcnt=hcnt, raaimt=raaimt, **kw))
     return dict(analysis.rank_year(), raaimt=float(raaimt))

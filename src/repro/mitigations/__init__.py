@@ -27,6 +27,7 @@ SHADOW itself lives in :mod:`repro.core` (it is the paper's primary
 contribution) but implements this same interface.
 """
 
+from repro.core.config import secure_raaimt
 from repro.mitigations.base import ActOutcome, Mitigation, RfmOutcome
 from repro.mitigations.blockhammer import BlockHammer, BlockHammerConfig
 from repro.mitigations.compose import ActionPolicy, ComposedMitigation
@@ -124,7 +125,6 @@ def _make_filtered(inner: str, hcnt: int) -> FilteredRfm:
     """The Section VIII hazard filter in front of registered scheme
     ``inner``, at a quarter of the secure RAAIMT (never below 8).
     ``inner`` has no default, so hcnt-only sweeps skip this entry."""
-    from repro.core.config import secure_raaimt
     wrapped = _SCHEMES.build(
         inner, **_SCHEMES.buildable_params(inner, {"hcnt": hcnt}))
     return FilteredRfm(wrapped,

@@ -33,9 +33,9 @@ holds across the paper's Table II range.
 
 from __future__ import annotations
 
+from repro.core.config import secure_raaimt
 from repro.mitigations.compose import ComposedMitigation, RfmTrrHottest
 from repro.mitigations.mithril import _blast_derate
-from repro.mitigations.parfm import shadow_raaimt
 from repro.mitigations.trackers import ResilientMisraGries
 
 
@@ -51,7 +51,7 @@ def dapper_raaimt(hcnt: int, blast_radius: int = 1) -> int:
     deterministic hottest-first TRR wastes no mitigations, but each one
     covers a single neighbourhood), blast-derated like the other TRR
     schemes and floored at 8."""
-    base = max(8, shadow_raaimt(hcnt) // 4)
+    base = max(8, secure_raaimt(hcnt) // 4)
     return max(8, _blast_derate(base, blast_radius))
 
 

@@ -23,22 +23,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.config import secure_raaimt
 from repro.mitigations.compose import ComposedMitigation, RfmTrrSampled
 from repro.mitigations.trackers import RecentHistory
 from repro.rowhammer.model import blast_weight_sum
 from repro.utils.rng import RandomSource, SystemRng
-
-#: SHADOW's secure RAAIMT per H_cnt (paper Table II diagonal).
-SHADOW_SECURE_RAAIMT = {16384: 256, 8192: 128, 4096: 64, 2048: 32}
-
-
-def shadow_raaimt(hcnt: int) -> int:
-    """The secure SHADOW RAAIMT for ``hcnt`` (Table II, bold entries)."""
-    if hcnt in SHADOW_SECURE_RAAIMT:
-        return SHADOW_SECURE_RAAIMT[hcnt]
-    # General rule behind the table: RAAIMT scales linearly with hcnt.
-    return max(1, hcnt // 64)
-
 
 def parfm_raaimt(hcnt: int, blast_radius: int = 1) -> int:
     """PARFM's secure RAAIMT for the same 1%/year budget.
@@ -47,7 +36,7 @@ def parfm_raaimt(hcnt: int, blast_radius: int = 1) -> int:
     neighbourhood's charge; the shuffle relocates the aggressor itself),
     further derated by the blast weight when the radius grows.
     """
-    base = shadow_raaimt(hcnt) // 2
+    base = secure_raaimt(hcnt) // 2
     scale = blast_weight_sum(1) / blast_weight_sum(max(1, blast_radius))
     return max(1, int(base * scale))
 
