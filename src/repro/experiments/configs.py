@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.dram.device import DramGeometry
-from repro.dram.timing import DDR4_2666, DDR5_4800, TimingParams
-from repro.sim.system import SystemConfig
+from repro.dram.timing import DDR4_2666, DDR5_4800
 from repro.spec import SimSpec, TimingSpec
 
 
@@ -35,27 +33,13 @@ class FidelityConfig:
     tracker_threads: int = 8
     tracker_requests: int = 3000
 
-    def system_config(self, timing: TimingParams = DDR4_2666,
-                      requests: Optional[int] = None,
-                      seed: int = 3) -> SystemConfig:
-        # `is not None` (not truthiness): an explicit ``requests=0`` must
-        # reach SystemConfig.__post_init__ and be rejected there, not be
-        # silently replaced by the fidelity default.
-        return SystemConfig(
-            geometry=DramGeometry(),     # paper Table IV organisation
-            timing=timing,
-            requests_per_thread=(requests if requests is not None
-                                 else self.requests_per_thread),
-            seed=seed,
-        )
-
     def sim_spec(self, grade: str = "DDR4-2666",
                  requests: Optional[int] = None, seed: int = 3) -> SimSpec:
-        """The declarative form of :meth:`system_config`.
+        """The run-scale spec of this fidelity on the paper's geometry.
 
-        ``SimSpec.to_system_config()`` of the returned spec is equal to
-        the ``SystemConfig`` built directly, so spec-driven jobs hash to
-        the same cache keys as the pre-spec drivers' jobs.
+        ``requests=None`` takes the fidelity's ``requests_per_thread``;
+        an explicit ``requests=0`` reaches ``SimSpec`` and is rejected
+        there, not silently replaced by the default.
         """
         return SimSpec(
             timing=TimingSpec(grade),

@@ -137,16 +137,13 @@ class SimSpec(SpecBase):
 
     The geometry is always the paper's Table IV organisation (128 banks)
     -- see :mod:`repro.experiments.configs` for why it never shrinks --
-    so the spec only carries the knobs the experiments actually vary.
+    so the spec only carries the knobs the experiments actually vary;
+    every other ``SystemConfig`` field keeps its default.
     """
 
     timing: TimingSpec = field(default_factory=TimingSpec)
     requests: int = 2000
     seed: int = 1
-    mlp: int = 16
-    cpu_ghz: float = 3.1
-    enable_refresh: bool = True
-    max_cycles: int = 2_000_000_000
 
     def __post_init__(self) -> None:
         if self.requests <= 0:
@@ -160,11 +157,7 @@ class SimSpec(SpecBase):
             geometry=DramGeometry(),
             timing=self.timing.build(),
             requests_per_thread=self.requests,
-            mlp=self.mlp,
             seed=self.seed,
-            cpu_ghz=self.cpu_ghz,
-            enable_refresh=self.enable_refresh,
-            max_cycles=self.max_cycles,
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -172,24 +165,21 @@ class SimSpec(SpecBase):
             "timing": self.timing.to_dict(),
             "requests": self.requests,
             "seed": self.seed,
-            "mlp": self.mlp,
-            "cpu_ghz": self.cpu_ghz,
-            "enable_refresh": self.enable_refresh,
-            "max_cycles": self.max_cycles,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SimSpec":
+        # A key this spec does not carry (say ``mlp`` from an older
+        # JSON) would otherwise be dropped and the run made at the
+        # default: refuse it by name instead.
+        unknown = sorted(set(payload) - {"timing", "requests", "seed"})
+        if unknown:
+            raise ValueError(f"unknown SimSpec keys: {unknown}")
         defaults = cls()
         return cls(
             timing=TimingSpec.from_dict(payload.get("timing", {})),
             requests=payload.get("requests", defaults.requests),
             seed=payload.get("seed", defaults.seed),
-            mlp=payload.get("mlp", defaults.mlp),
-            cpu_ghz=payload.get("cpu_ghz", defaults.cpu_ghz),
-            enable_refresh=payload.get("enable_refresh",
-                                       defaults.enable_refresh),
-            max_cycles=payload.get("max_cycles", defaults.max_cycles),
         )
 
 

@@ -599,16 +599,19 @@ class TestConfigsBugfix:
     def test_explicit_zero_requests_rejected(self):
         fc = fidelity_config("smoke")
         with pytest.raises(ValueError):
-            fc.system_config(requests=0)
+            fc.sim_spec(requests=0)
 
     def test_none_requests_uses_fidelity_default(self):
         fc = fidelity_config("smoke")
-        cfg = fc.system_config(requests=None)
-        assert cfg.requests_per_thread == fc.requests_per_thread
+        spec = fc.sim_spec(requests=None)
+        assert spec.requests == fc.requests_per_thread
+        assert (spec.to_system_config().requests_per_thread
+                == fc.requests_per_thread)
 
     def test_explicit_requests_respected(self):
         fc = fidelity_config("smoke")
-        assert fc.system_config(requests=17).requests_per_thread == 17
+        spec = fc.sim_spec(requests=17)
+        assert spec.to_system_config().requests_per_thread == 17
 
 
 class TestFaultJobWiring:

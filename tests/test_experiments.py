@@ -72,7 +72,7 @@ class TestFidelity:
             fidelity_config("ludicrous")
 
     def test_system_config_uses_paper_geometry(self):
-        cfg = fidelity_config("smoke").system_config()
+        cfg = fidelity_config("smoke").sim_spec().to_system_config()
         paper = DramGeometry()
         assert cfg.geometry.total_banks == paper.total_banks == 128
 

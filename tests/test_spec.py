@@ -15,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.factories import make_shadow, make_shadow_with_trcd
+from repro.dram.device import DramGeometry
+from repro.dram.timing import DDR4_2666
 from repro.experiments.configs import fidelity_config
+from repro.sim.system import SystemConfig
 from repro.spec import (
     ExperimentSpec,
     PointSpec,
@@ -56,10 +59,6 @@ sim_specs = st.builds(
     timing=timing_specs,
     requests=st.integers(1, 10**6),
     seed=st.integers(0, 2**31),
-    mlp=st.integers(1, 64),
-    cpu_ghz=st.floats(0.5, 6.0),
-    enable_refresh=st.booleans(),
-    max_cycles=st.integers(1, 10**12),
 )
 point_specs = st.builds(
     PointSpec,
@@ -193,13 +192,21 @@ class TestBuild:
 
     def test_sim_spec_matches_fidelity_system_config(self):
         # Cache-key compatibility: the declarative path must produce the
-        # exact SystemConfig the pre-spec drivers built.
+        # exact SystemConfig the pre-spec drivers built: the paper's
+        # geometry and every other field at its default.
         fc = fidelity_config("smoke")
-        assert (fc.sim_spec().to_system_config()
-                == fc.system_config())
-        assert (fc.sim_spec(requests=fc.single_thread_requests)
-                .to_system_config()
-                == fc.system_config(requests=fc.single_thread_requests))
+        for requests in (fc.requests_per_thread, fc.single_thread_requests):
+            assert (fc.sim_spec(requests=requests).to_system_config()
+                    == SystemConfig(geometry=DramGeometry(),
+                                    timing=DDR4_2666,
+                                    requests_per_thread=requests, seed=3))
+
+    def test_sim_spec_rejects_unknown_keys(self):
+        # An older JSON that set mlp must not silently run at the default.
+        payload = SimSpec().to_dict()
+        payload.update(mlp=1, max_cycles=10)
+        with pytest.raises(ValueError, match=r"\['max_cycles', 'mlp'\]"):
+            SimSpec.from_dict(payload)
 
 
 class TestShadowTrcdSeed:
