@@ -72,6 +72,27 @@ def resolve_profiles(workload: str, threads: int):
         raise SystemExit(str(exc)) from None
 
 
+def _add_run_flags(parser) -> None:
+    """The flags of the single-run commands (``run``, ``stats``,
+    ``trace``), read back by :func:`_build_system`."""
+    parser.add_argument("--workload", default="mcf")
+    parser.add_argument("--scheme", default="shadow",
+                        choices=cli_scheme_names())
+    parser.add_argument("--hcnt", type=int, default=4096)
+    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--requests", type=int, default=2000)
+    parser.add_argument("--seed", type=int, default=1)
+
+
+def _build_system(args, obs=None) -> System:
+    """The :class:`System` that :func:`_add_run_flags`' flags name."""
+    profiles = resolve_profiles(args.workload, args.threads)
+    mitigation = make_scheme(args.scheme, args.hcnt)
+    config = SystemConfig(requests_per_thread=args.requests,
+                          seed=args.seed)
+    return System(profiles, mitigation, config=config, obs=obs)
+
+
 def run_experiment(args, save_as: str, run: Callable[..., Dict],
                    render: Optional[Callable[[Dict], str]] = None) -> int:
     """The one path every experiment runs, renders and saves through.
@@ -110,11 +131,7 @@ def cmd_run(args) -> int:
         return run_experiment(
             args, f"{spec.name}_{spec.fidelity}",
             lambda engine: run_spec(spec, engine=engine))
-    profiles = resolve_profiles(args.workload, args.threads)
-    mitigation = make_scheme(args.scheme, args.hcnt)
-    config = SystemConfig(requests_per_thread=args.requests,
-                          seed=args.seed)
-    result = System(profiles, mitigation, config=config).run()
+    result = _build_system(args).run()
     print(f"workload={args.workload} threads={args.threads} "
           f"scheme={result.mitigation_name}")
     print(f"cycles={result.cycles} requests={result.requests_issued} "
@@ -166,13 +183,9 @@ def cmd_stats(args) -> int:
     """Handle ``shadow-repro stats``: a run with full metrics on."""
     from repro.obs import Observability
 
-    profiles = resolve_profiles(args.workload, args.threads)
-    mitigation = make_scheme(args.scheme, args.hcnt)
-    config = SystemConfig(requests_per_thread=args.requests,
-                          seed=args.seed)
     obs = Observability(metrics=True,
                         sample_interval=args.sample_interval)
-    result = System(profiles, mitigation, config=config, obs=obs).run()
+    result = _build_system(args, obs).run()
     obs.close()
     s = obs.summary
     print(f"workload={args.workload} threads={args.threads} "
@@ -191,17 +204,13 @@ def cmd_trace(args) -> int:
     """Handle ``shadow-repro trace``: export a run's event trace."""
     from repro.obs import Observability
 
-    profiles = resolve_profiles(args.workload, args.threads)
-    mitigation = make_scheme(args.scheme, args.hcnt)
-    config = SystemConfig(requests_per_thread=args.requests,
-                          seed=args.seed)
     if args.format == "chrome":
         obs = Observability.to_chrome(
             args.out, sample_interval=args.sample_interval)
     else:
         obs = Observability.to_jsonl(
             args.out, sample_interval=args.sample_interval)
-    result = System(profiles, mitigation, config=config, obs=obs).run()
+    result = _build_system(args, obs).run()
     obs.close()
     print(f"workload={args.workload} scheme={result.mitigation_name} "
           f"cycles={result.cycles}")
@@ -374,20 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     # error, not silently resolve to a longer flag it abbreviates.
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    scheme_names = cli_scheme_names()
-
     from repro.analysis.security import SECURITY_MODELS
     security_model_names = SECURITY_MODELS.names()
 
     run_p = add_parser(
         "run", help="simulate a workload (or a serialized spec)")
-    run_p.add_argument("--workload", default="mcf")
-    run_p.add_argument("--scheme", default="shadow",
-                       choices=scheme_names)
-    run_p.add_argument("--hcnt", type=int, default=4096)
-    run_p.add_argument("--threads", type=int, default=1)
-    run_p.add_argument("--requests", type=int, default=2000)
-    run_p.add_argument("--seed", type=int, default=1)
+    _add_run_flags(run_p)
     run_p.add_argument("--spec", metavar="PATH",
                        help="run an ExperimentSpec JSON file through the "
                             "generic driver instead (see 'experiment "
@@ -397,13 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats_p = add_parser(
         "stats", help="simulate with metrics on and print the summary")
-    stats_p.add_argument("--workload", default="mcf")
-    stats_p.add_argument("--scheme", default="shadow",
-                         choices=scheme_names)
-    stats_p.add_argument("--hcnt", type=int, default=4096)
-    stats_p.add_argument("--threads", type=int, default=1)
-    stats_p.add_argument("--requests", type=int, default=2000)
-    stats_p.add_argument("--seed", type=int, default=1)
+    _add_run_flags(stats_p)
     stats_p.add_argument("--sample-interval", type=int, default=0,
                          metavar="CYCLES",
                          help="periodic snapshots every N cycles "
@@ -414,13 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_p = add_parser(
         "trace", help="export a run as a Chrome/Perfetto or JSONL trace")
-    trace_p.add_argument("--workload", default="mcf")
-    trace_p.add_argument("--scheme", default="shadow",
-                         choices=scheme_names)
-    trace_p.add_argument("--hcnt", type=int, default=4096)
-    trace_p.add_argument("--threads", type=int, default=1)
-    trace_p.add_argument("--requests", type=int, default=2000)
-    trace_p.add_argument("--seed", type=int, default=1)
+    _add_run_flags(trace_p)
     trace_p.add_argument("--out", default="shadow-repro.trace.json",
                          metavar="PATH",
                          help="output file (default: "
