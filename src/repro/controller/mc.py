@@ -134,6 +134,8 @@ class MemoryController:
 
         geometry = device.geometry
         mitigation.bind(geometry, device.timing)
+        if observer is not None:
+            observer.bind(geometry)
 
         self._timing = device.timing
         self._tCL = device.timing.tCL

@@ -16,6 +16,9 @@ exactly the property SHADOW randomizes.
 
 Observer contract (what the memory controller reports, in DA space):
 
+* once, at construction -> ``bind`` with the device's geometry, the way
+  the controller binds the mitigation, so neighbours and the refresh
+  wrap-around follow the simulated subarray layout;
 * every issued ACT -> ``on_activate`` with the post-translate DA row,
   so a remapping scheme's shuffled hot rows are charged where the
   device actually activates them;
@@ -41,10 +44,10 @@ bench gate asserts cycle-for-cycle equality with the observer detached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.dram.device import BankAddress
+from repro.dram.device import BankAddress, DramGeometry
 from repro.dram.subarray import SubarrayLayout
 
 if TYPE_CHECKING:
@@ -122,7 +125,7 @@ class DisturbanceModel:
     """Per-row weighted disturbance counters with reset semantics.
 
     Implements the observer interface the memory controller calls (see
-    the module docstring): ``on_activate``, ``on_refresh``,
+    the module docstring): ``bind``, ``on_activate``, ``on_refresh``,
     ``on_act_outcome`` and ``on_rfm_outcome``.
     """
 
@@ -137,9 +140,19 @@ class DisturbanceModel:
         self._flipped: set = set()
         self._record_all = record_all_flips
         self.total_acts = 0
-        cache_key = (config.layout, config.blast_radius)
+        self._share_neighbor_caches()
+
+    def _share_neighbor_caches(self) -> None:
+        cache_key = (self.config.layout, self.config.blast_radius)
         self._neighbors = _NEIGHBORS_CACHE.setdefault(cache_key, {})
         self._charges = _CHARGES_CACHE.setdefault(cache_key, {})
+
+    def bind(self, geometry: DramGeometry) -> None:
+        """Adopt the simulated device's subarray layout (called once by
+        the controller, before any ACT)."""
+        if geometry.layout != self.config.layout:
+            self.config = replace(self.config, layout=geometry.layout)
+            self._share_neighbor_caches()
 
     def _da_neighbors(self, da_row: int) -> List[Tuple[int, int]]:
         neighbors = self._neighbors.get(da_row)

@@ -147,6 +147,9 @@ class TestRefresh:
         class Spy:
             ranges = []
 
+            def bind(self, geometry):
+                pass
+
             def on_activate(self, *a):
                 pass
 

@@ -118,6 +118,9 @@ class _Probe:
         self.mirrors = {}
         self.checks = 0
 
+    def bind(self, geometry):
+        pass
+
     def on_activate(self, addr, da_row, cycle):
         pass
 
