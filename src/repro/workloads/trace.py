@@ -19,10 +19,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from functools import lru_cache
+from itertools import accumulate, islice
 from typing import Iterator, List, Optional, Tuple
-
-import numpy as np
 
 from repro.controller.address import AddressMapping, MemoryLocation
 
@@ -69,6 +68,19 @@ class WorkloadProfile:
         return "low"
 
 
+@lru_cache(maxsize=None)
+def zipf_cdf(footprint_pages: int, alpha: float) -> Tuple[float, ...]:
+    """Cumulative Zipf(``alpha``) popularity of ranks 1..``footprint_pages``.
+
+    Shared read-only by every generator of the process: a sweep builds
+    each of its few distinct CDFs once instead of once per thread.
+    """
+    sums = list(accumulate(float(rank) ** -alpha
+                           for rank in range(1, footprint_pages + 1)))
+    total = sums[-1]
+    return tuple(value / total for value in sums)
+
+
 class TraceGenerator:
     """Deterministic per-thread request stream."""
 
@@ -101,19 +113,6 @@ class TraceGenerator:
     #: it, hot pages conflict and produce the per-row ACT pressure that
     #: row-tracking defenses (RRS, BlockHammer, Graphene) respond to.
     PAGES_PER_CLUSTER = 8
-
-    # -- Zipfian page popularity ------------------------------------------------------
-
-    def _zipf_cdf(self) -> Optional[List[float]]:
-        """Cumulative popularity over footprint pages (None if uniform)."""
-        profile = self.profile
-        if profile.zipf_alpha <= 0 or profile.sequential:
-            return None
-        ranks = np.arange(1, profile.footprint_pages + 1, dtype=float)
-        weights = ranks ** -profile.zipf_alpha
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        return cdf.tolist()
 
     # -- the stream -------------------------------------------------------------------
 
@@ -149,8 +148,10 @@ class TraceGenerator:
         rng = random.Random(self.seed * 1_000_003 + self.thread_id)
         getrandbits = rng.getrandbits
         randrange = rng.randrange
-        zipf_cdf = self._zipf_cdf()
         sequential = profile.sequential
+        zipf = None
+        if profile.zipf_alpha > 0 and not sequential:
+            zipf = zipf_cdf(profile.footprint_pages, profile.zipf_alpha)
         footprint = profile.footprint_pages
         locality = profile.row_buffer_locality
         write_fraction = profile.write_fraction
@@ -174,10 +175,9 @@ class TraceGenerator:
                 # Pick the next page and a geometric run length.
                 if sequential:
                     page_index = (page_index + 1) % footprint
-                elif zipf_cdf is not None:
-                    # Same index as np.searchsorted(cdf, u, "right").
+                elif zipf is not None:
                     page_index = bisect_right(
-                        zipf_cdf, getrandbits(24) / 16777216.0)
+                        zipf, getrandbits(24) / 16777216.0)
                 else:
                     page_index = randrange(footprint)
                 # The page's (rank, bank, row); one page spans every
