@@ -57,7 +57,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.sim.system import System, SystemConfig, SystemResult
 from repro.spec import FaultSpec, SchemeSpec, scheme_spec
 from repro.utils.cache import DEFAULT_CACHE_DIR, ResultCache, spec_digest
-from repro.workloads.trace import WorkloadProfile
+from repro.workloads.trace import WorkloadProfile, trace_key
 
 #: The unprotected baseline every figure normalises against.
 BASELINE = scheme_spec("none")
@@ -370,7 +370,11 @@ class Engine:
 
         Input order is irrelevant to the values (each job is an
         independent deterministic simulation), so any worker count --
-        and any completion order -- produces identical results.  Each
+        and any completion order -- produces identical results.  Jobs
+        run grouped by :func:`~repro.workloads.trace.trace_key` (groups
+        in first-seen order, input order within a group), so the jobs
+        of one trace reach a worker back to back and reuse its
+        materialized trace (DESIGN.md section 8).  Each
         result is cached the moment it lands, so an interruption loses
         at most the unfinished jobs.  In keep-going mode jobs that
         failed are absent from the dict and recorded in
@@ -389,14 +393,16 @@ class Engine:
         self.stats.unique += len(ordered)
 
         results: Dict[Job, JobResult] = {}
-        pending: List[Job] = []
+        groups: Dict[Tuple, List[Job]] = {}
         for job in ordered:
             cached = self.cache.get(job.spec) if self.cache else None
             if cached is not None:
                 results[job] = JobResult.from_dict(cached)
                 self.stats.cache_hits += 1
             else:
-                pending.append(job)
+                groups.setdefault(trace_key(job.profiles, job.config),
+                                  []).append(job)
+        pending = [job for group in groups.values() for job in group]
 
         if self.max_workers == 1 or len(pending) == 1:
             self._run_inline(pending, results)

@@ -12,16 +12,16 @@ enough that memory latency and bandwidth changes move end-to-end
 runtime the way they do on real cores, cheap enough to simulate many
 threads.
 
-Feeding: a thread replays a pregenerated ``ops`` list of
-``(gap_cycles, location, is_write)`` tuples (see
-:meth:`~repro.workloads.trace.TraceGenerator.materialize`), so advancing
-the trace is an index bump and the ns->cycle gap conversion happened up
-front.
+Feeding: a thread replays a pregenerated ``ops`` tuple of
+``(gap_cycles, location, is_write)`` entries (see
+:func:`~repro.workloads.trace.thread_traces`), so advancing the trace is
+an index bump and the ns->cycle gap conversion happened up front.  The
+thread only reads ``ops``: runs of one trace share the same tuple.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.controller.address import MemoryLocation
 from repro.controller.request import MemoryRequest
@@ -35,7 +35,7 @@ class ThreadState:
                  "_pending", "_ops", "_pos")
 
     def __init__(self, thread_id: int,
-                 ops: List[Tuple[int, MemoryLocation, bool]],
+                 ops: Sequence[Tuple[int, MemoryLocation, bool]],
                  request_budget: int = 1, mlp: int = 8):
         if request_budget <= 0:
             raise ValueError("request_budget must be positive")

@@ -26,14 +26,13 @@ import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.controller.address import AddressMapping
 from repro.controller.mc import McConfig, MemoryController
 from repro.dram.device import DramDevice, DramGeometry
 from repro.dram.timing import DDR4_2666, TimingParams
 from repro.mitigations.base import Mitigation
 from repro.mitigations.none import NoMitigation
 from repro.sim.core_model import ThreadState
-from repro.workloads.trace import TraceGenerator, WorkloadProfile
+from repro.workloads.trace import WorkloadProfile, thread_traces
 
 
 @dataclass
@@ -99,7 +98,6 @@ class System:
         self.config = config or SystemConfig()
         self.mitigation = mitigation or NoMitigation()
         self.device = DramDevice(self.config.geometry, self.config.timing)
-        self.mapping = AddressMapping(self.config.geometry)
         self.obs = obs
         if obs is not None:
             obs.bind(self.config.timing.tck_ns)
@@ -109,27 +107,13 @@ class System:
             obs=obs)
         # Traces are materialized up front (exactly the per-thread
         # request budget, gaps pre-converted to cycles): the hot loop's
-        # issue path indexes a list instead of resuming a generator.
-        # Profiles exposing ``trace_generator`` (the adversarial hammer
-        # profiles) supply their own stream; everything else takes the
-        # statistical TraceGenerator path unchanged.
-        tck_ns = self.config.timing.tck_ns
-        self.threads = []
-        for i, profile in enumerate(profiles):
-            make = getattr(profile, "trace_generator", None)
-            if make is not None:
-                generator = make(self.mapping, i, self.config.seed,
-                                 self.config.cpu_ghz)
-            else:
-                generator = TraceGenerator(
-                    profile, self.mapping, thread_id=i,
-                    seed=self.config.seed, cpu_ghz=self.config.cpu_ghz)
-            self.threads.append(ThreadState(
-                thread_id=i,
-                ops=generator.materialize(
-                    self.config.requests_per_thread, tck_ns),
-                request_budget=self.config.requests_per_thread,
-                mlp=self.config.mlp))
+        # issue path indexes a tuple instead of resuming a generator.
+        # A run of the previous run's trace reuses its tuples.
+        self.threads = [
+            ThreadState(thread_id=i, ops=ops,
+                        request_budget=self.config.requests_per_thread,
+                        mlp=self.config.mlp)
+            for i, ops in enumerate(thread_traces(profiles, self.config))]
 
     # -- the event loop --------------------------------------------------------------
 

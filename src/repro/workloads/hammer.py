@@ -9,9 +9,10 @@ attacker issues, aimed at one bank so every access is an activation
 
 The profile is a frozen dataclass like ``WorkloadProfile`` (picklable,
 ``asdict``-able, carries a ``name``), and plugs into the system through
-the ``trace_generator`` hook :class:`~repro.sim.system.System` dispatches
-on: any profile exposing ``trace_generator(mapping, thread_id, seed,
-cpu_ghz)`` supplies its own generator; plain profiles keep the default
+the ``trace_generator`` hook that
+:func:`~repro.workloads.trace.thread_traces` dispatches on: any profile
+exposing ``trace_generator(mapping, thread_id, seed, cpu_ghz)`` supplies
+its own generator; plain profiles keep the default
 :class:`~repro.workloads.trace.TraceGenerator` path untouched.
 """
 
@@ -71,7 +72,7 @@ class HammerProfile:
 
     def trace_generator(self, mapping: AddressMapping, thread_id: int,
                         seed: int, cpu_ghz: float) -> "HammerTraceGenerator":
-        """System dispatch hook (same signature intent as
+        """Trace dispatch hook (same signature intent as
         ``TraceGenerator(profile, mapping, thread_id, seed, cpu_ghz)``)."""
         return HammerTraceGenerator(self, mapping)
 

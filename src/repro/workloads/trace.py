@@ -21,9 +21,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.controller.address import AddressMapping, MemoryLocation
+
+#: One materialized request: ``(gap_cycles, location, is_write)``.
+Op = Tuple[int, MemoryLocation, bool]
 
 
 @dataclass(frozen=True)
@@ -201,3 +204,55 @@ class TraceGenerator:
             # Gap: instructions to the next miss, +/-50% jitter.
             jitter = 0.5 + getrandbits(16) / 65536.0
             yield gap_scale * jitter, location, is_write
+
+
+def trace_key(profiles: Sequence, config) -> Tuple:
+    """What one run's per-thread traces are a function of.
+
+    ``(profiles, geometry, seed, cpu_ghz, requests_per_thread, tck_ns)``
+    of a :class:`~repro.sim.system.SystemConfig` ``config``: everything
+    :class:`TraceGenerator`, a profile's own ``trace_generator`` and
+    ``materialize`` read.  Runs with equal keys replay equal traces
+    whatever their scheme, fault injector or observer.
+    """
+    return (tuple(profiles), config.geometry, config.seed, config.cpu_ghz,
+            config.requests_per_thread, config.timing.tck_ns)
+
+
+#: The last run's ``(trace_key, per-thread op tuples)``.  One slot: a
+#: sweep that submits the runs of one trace back to back (as
+#: ``Engine.run`` does) hits it, and it never holds more than one run's
+#: traces (DESIGN.md section 13).
+_last_traces: Tuple[Optional[Tuple], Tuple[Tuple[Op, ...], ...]] = (None, ())
+
+
+def thread_traces(profiles: Sequence, config) -> Tuple[Tuple[Op, ...], ...]:
+    """Each thread's first ``config.requests_per_thread`` requests, gaps
+    in DRAM cycles, as read-only op tuples.
+
+    Profiles exposing ``trace_generator(mapping, thread_id, seed,
+    cpu_ghz)`` (the adversarial hammer profiles) supply their own
+    stream; everything else takes the statistical
+    :class:`TraceGenerator`.  A run whose :func:`trace_key` equals the
+    previous run's gets that run's tuples back; otherwise the slot is
+    emptied before the new traces are built.
+    """
+    global _last_traces
+    key = trace_key(profiles, config)
+    if _last_traces[0] == key:
+        return _last_traces[1]
+    _last_traces = (None, ())
+    mapping = AddressMapping(config.geometry)
+    traces = []
+    for thread_id, profile in enumerate(profiles):
+        make = getattr(profile, "trace_generator", None)
+        if make is not None:
+            generator = make(mapping, thread_id, config.seed, config.cpu_ghz)
+        else:
+            generator = TraceGenerator(profile, mapping, thread_id,
+                                       seed=config.seed,
+                                       cpu_ghz=config.cpu_ghz)
+        traces.append(tuple(generator.materialize(
+            config.requests_per_thread, config.timing.tck_ns)))
+    _last_traces = (key, tuple(traces))
+    return _last_traces[1]

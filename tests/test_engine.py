@@ -322,6 +322,47 @@ class TestEngine:
         assert restored.cycles == 10
 
 
+class TestTraceOrder:
+    """Jobs of one trace key run back to back, so they hit the trace
+    slot of the worker that runs them."""
+
+    def _jobs(self):
+        mcf, gcc = SPEC_PROFILES["mcf"], SPEC_PROFILES["gcc"]
+        drr = scheme_spec("drr")
+        shadow = scheme_spec("shadow", hcnt=1024)
+        config = small_config()
+        # Input order interleaves three trace keys: (mcf), (gcc) and
+        # (mcf) at another seed.
+        return [
+            alone_job(mcf, BASELINE, config),
+            alone_job(gcc, BASELINE, config),
+            alone_job(mcf, BASELINE, small_config(seed=8)),
+            alone_job(mcf, drr, config),
+            alone_job(gcc, shadow, config),
+            alone_job(mcf, shadow, config),
+            alone_job(mcf, drr, small_config(seed=8)),
+        ]
+
+    def test_inline_runs_each_key_back_to_back(self):
+        ran = []
+
+        def recording_worker(job):
+            ran.append(job)
+            return _canned_worker(job)
+
+        jobs = self._jobs()
+        Engine(use_cache=False, worker=recording_worker).run(jobs)
+        assert ran == [jobs[i] for i in (0, 3, 5, 1, 4, 2, 6)]
+
+    def test_pool_matches_inline(self):
+        jobs = self._jobs()
+        inline = Engine(jobs=1, use_cache=False).run(jobs)
+        pooled = Engine(jobs=2, use_cache=False).run(jobs)
+        assert set(pooled) == set(jobs)
+        for job in jobs:
+            assert pooled[job].to_dict() == inline[job].to_dict()
+
+
 class TestWsRelativeMetric:
     """The ``ws-relative`` driver metric, the one WS(scheme)/WS(baseline)
     implementation behind Figures 8-11 and the extended comparison."""
