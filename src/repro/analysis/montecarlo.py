@@ -82,10 +82,8 @@ def simulate_defense(attacker, layout: SubarrayLayout,
     for interval in range(intervals):
         for pa_row in attacker.interval_rows(interval, acts):
             da = mitigation.translate(_ADDR, pa_row)
-            model.on_activate(_ADDR, da, cycle=interval)
             out = mitigation.on_activate(_ADDR, pa_row, da, interval)
-            if out is not None:
-                model.on_act_outcome(_ADDR, out, interval)
+            model.on_activate(_ADDR, da, interval, out)
         if model.flipped and first_flip is None:
             first_flip = interval
             break

@@ -156,7 +156,7 @@ def summary_lines(s) -> List[str]:
         f"({cache['hit_rate']:.2%}), {cache['recomputes']} recomputes, "
         f"{cache['pruned']} pruned, "
         f"{cache['translation_invalidations']} translation "
-        f"invalidations, {cache['reindexes']} reindexes",
+        f"invalidations",
     ]
     drain = s.get("drain")
     if drain is not None:

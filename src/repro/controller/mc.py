@@ -27,7 +27,7 @@ Implementation note: this is the simulator's hottest code, and it is
 best scheduling candidate (which op, which request, the earliest cycle
 the bank itself allows) plus a ``{da_row -> requests}`` hit index, and a
 dirty bit; executing a command on a bank, enqueueing to it, an
-all-bank REF, or a mitigation translation-generation bump (reported via
+all-bank REF, or a mitigation remap (reported via
 :meth:`~repro.mitigations.base.Mitigation.register_translation_listener`)
 invalidates only the affected contexts.  Candidate selection then
 reduces over cached entries, applying only the shared-resource
@@ -37,11 +37,10 @@ command stream this produces is cycle-identical to a full per-iteration
 recompute -- ``tests/test_scheduler_equivalence.py`` pins that against
 recorded seed-controller golden runs.
 
-Requests carry a cached DA translation tagged with the mitigation's
-per-bank *translation generation*; the hit index is re-keyed in one
-batch when a generation bump is observed, so the (potentially dynamic)
-PA-to-DA mapping is re-evaluated once per shuffle/swap rather than once
-per scan.
+Requests carry a cached DA translation; when a mitigation reports a
+bank's remap, the listener re-translates that bank's queue and re-keys
+its hit index in one batch, so the (potentially dynamic) PA-to-DA
+mapping is re-evaluated once per shuffle/swap rather than once per scan.
 """
 
 from __future__ import annotations
@@ -91,15 +90,15 @@ class _BankCtx:
     that only changes when this bank's own state changes.  ``dirty``
     forces a recompute; it is set by enqueue, by every command executed
     on the bank (a rank-wide REF marks only the rank's active banks),
-    and by translation-generation bumps.  ``hit_index`` maps each DA row
-    to the FIFO of queued requests targeting it, valid for translation
-    generation ``index_gen``; retired requests leave the index eagerly
-    and the ``queue`` deque lazily.
+    and by the mitigation's remap notifications.  ``hit_index`` maps
+    each DA row to the FIFO of queued requests targeting it under the
+    current mapping (a remap re-keys it at once); retired requests leave
+    the index eagerly and the ``queue`` deque lazily.
     """
 
     __slots__ = ("addr", "bank", "queue", "rank", "rank_key", "rank_index",
                  "group", "pending", "in_active", "dirty", "cand",
-                 "hit_index", "index_gen", "track", "chan", "channel")
+                 "hit_index", "track", "chan", "channel")
 
     def __init__(self, addr: BankAddress, bank, rank, rank_key, group):
         self.addr = addr
@@ -116,7 +115,6 @@ class _BankCtx:
         self.dirty = True
         self.cand = None
         self.hit_index: Dict[int, Deque[MemoryRequest]] = {}
-        self.index_gen = 0
         self.track = 0  # trace lane id (assigned by the controller)
 
 
@@ -155,10 +153,10 @@ class MemoryController:
         self._throttles = "throttle" in hooks
         self._observes_ref = "ref" in hooks
         self._acts_hook = "act" in hooks
-        #: Schemes that do not remap keep the factory PA-to-DA mapping
-        #: and a constant generation, so ``enqueue`` may serve
-        #: translations from a shared per-row cache instead of
-        #: re-deriving the identity layout arithmetic per request.
+        #: Schemes that do not remap keep the factory PA-to-DA mapping,
+        #: so ``enqueue`` may serve translations from a shared per-row
+        #: cache instead of re-deriving the identity layout arithmetic
+        #: per request.
         self._static_translate = "remap" not in hooks
         self._ident_rows: Dict[int, int] = {}
         #: Same zero-overhead gate for the fault-injection observer: the
@@ -227,8 +225,8 @@ class MemoryController:
         # earliest not-yet-due REF tick observed while computing it).
         # The next drain of the channel may reuse the saved candidate
         # verbatim iff (a) nothing was enqueued to the channel since
-        # (enqueue clears the slot), (b) no translation generation on
-        # the channel bumped (the listener clears the slot), and (c) its
+        # (enqueue clears the slot), (b) no bank on the channel was
+        # remapped (the listener clears the slot), and (c) its
         # new ``until`` still precedes the refresh horizon, so no REF
         # obligation entered the candidate set.  All other scheduler
         # state a candidate depends on only changes while the channel
@@ -259,7 +257,7 @@ class MemoryController:
         self.drain_until = 0
 
         # Scheduler-health counters.  The rare-path ones (recomputes,
-        # invalidations, reindexes, RAA crossings) are plain ints
+        # translation invalidations, RAA crossings) are plain ints
         # maintained unconditionally, like ``enqueued``/``retired``; the
         # per-scan ones (evals/hits/pruned) are only accumulated when
         # metrics are enabled, so the candidate reduce loop pays at most
@@ -269,7 +267,6 @@ class MemoryController:
         self.cand_recomputes = 0
         self.cand_pruned = 0
         self.translation_invalidations = 0
-        self.reindexes = 0
         self.raa_crossings = 0
 
         # Observability wiring.  ``_trace``/``_metrics`` stay None when
@@ -349,21 +346,14 @@ class MemoryController:
             ctx.in_active = True
         row = location.row
         if self._static_translate:
-            # Identity mapping, constant generation 0: cache per PA row.
-            generation = 0
+            # Identity mapping: cache per PA row.
             da_row = self._ident_rows.get(row)
             if da_row is None:
                 self._ident_rows[row] = da_row = \
                     self.mitigation.translate(ctx.addr, row)
         else:
-            mitigation = self.mitigation
-            addr = ctx.addr
-            generation = mitigation.translation_generation(addr)
-            if generation != ctx.index_gen:
-                self._reindex(ctx, generation)
-            da_row = mitigation.translate(addr, row)
+            da_row = self.mitigation.translate(ctx.addr, row)
         request.da_row = da_row
-        request.da_generation = generation
         ctx.queue.append(request)
         rows = ctx.hit_index.get(da_row)
         if rows is None:
@@ -735,10 +725,6 @@ class MemoryController:
         open_row = bank.open_row
         busy = bank.busy_until
         if open_row is not None:
-            if not self._static_translate:
-                generation = self.mitigation.translation_generation(ctx.addr)
-                if generation != ctx.index_gen:
-                    self._reindex(ctx, generation)
             rows = ctx.hit_index.get(open_row)
             if rows:
                 hit = rows[0]
@@ -775,14 +761,12 @@ class MemoryController:
         ctx.dirty = False
         return cand
 
-    def _reindex(self, ctx: _BankCtx, generation: int) -> None:
+    def _reindex(self, ctx: _BankCtx) -> None:
         """Re-translate every live queued request in one batch.
 
-        Runs once per observed translation-generation bump (instead of
-        once per candidate scan); also compacts lazily-retired requests
-        out of the queue.
+        Runs once per remap notification (instead of once per candidate
+        scan); also compacts lazily-retired requests out of the queue.
         """
-        self.reindexes += 1
         addr = ctx.addr
         translate = self.mitigation.translate
         live: Deque[MemoryRequest] = deque()
@@ -792,7 +776,6 @@ class MemoryController:
                 continue
             da_row = translate(addr, request.location.row)
             request.da_row = da_row
-            request.da_generation = generation
             rows = index.get(da_row)
             if rows is None:
                 index[da_row] = rows = deque()
@@ -800,13 +783,13 @@ class MemoryController:
             live.append(request)
         ctx.queue = live
         ctx.hit_index = index
-        ctx.index_gen = generation
 
     def _translation_changed(self, addr: BankAddress) -> None:
         """Mitigation hook: a bank's PA-to-DA mapping changed."""
         self.translation_invalidations += 1
         ctx = self._ctx.get(addr)
         if ctx is not None:
+            self._reindex(ctx)
             ctx.dirty = True
             self._saved_cand[addr.channel] = None
 
@@ -868,17 +851,6 @@ class MemoryController:
         addr = ctx.addr
         bank = ctx.bank
         da_row = request.da_row
-        if self._static_translate:
-            if da_row is None:
-                request.da_row = da_row = \
-                    self.mitigation.translate(addr, request.location.row)
-        else:
-            mitigation = self.mitigation
-            generation = mitigation.translation_generation(addr)
-            if request.da_generation != generation or da_row is None:
-                request.da_row = da_row = \
-                    mitigation.translate(addr, request.location.row)
-                request.da_generation = generation
         chan = ctx.chan
         # ChannelTiming.record_command inlined (hot per-ACT path).
         if cycle < chan._cmd_free_at or cycle < chan._blocked_until:
@@ -902,9 +874,7 @@ class MemoryController:
             self._tbuf.append(("X", ctx.channel, ctx.track, "ACT",
                                "cmd", cycle, self._dur_act,
                                {"row": da_row}))
-        observer_activate = self._observer_activate
-        if observer_activate is not None:
-            observer_activate(addr, da_row, cycle)
+        outcome = None
         if self._acts_hook:
             outcome = self.mitigation.on_activate(
                 addr, request.location.row, da_row, cycle)
@@ -914,8 +884,9 @@ class MemoryController:
                         self._timing.tRC * len(outcome.trr_rows))
                 if outcome.channel_block_cycles:
                     ctx.chan.block(cycle + 1, outcome.channel_block_cycles)
-                if self.observer is not None:
-                    self.observer.on_act_outcome(addr, outcome, cycle)
+        observer_activate = self._observer_activate
+        if observer_activate is not None:
+            observer_activate(addr, da_row, cycle, outcome)
         # After any TRR penalty, which moves next_act further.
         if bank.next_act > rank.ref_ready:
             rank.ref_ready = bank.next_act

@@ -28,11 +28,10 @@ class MemoryRequest:
     request_id: int = field(default_factory=lambda: next(_ids))
     issued: Optional[int] = None
     completed: Optional[int] = None
-    #: Cached PA-to-DA translation, valid while the mitigation's
-    #: translation generation for this bank equals ``da_generation``
-    #: (shuffles/swaps bump the generation and invalidate the cache).
+    #: Cached PA-to-DA translation, set at enqueue; the controller
+    #: re-translates every queued request of a bank when the mitigation
+    #: reports that bank's remap (a shuffle or a swap).
     da_row: Optional[int] = None
-    da_generation: int = -1
 
     @property
     def latency(self) -> Optional[int]:

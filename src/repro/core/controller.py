@@ -43,8 +43,6 @@ class ShadowBankController:
         self._recent: List[Tuple[int, int]] = []   # (subarray, pa_offset)
         self.shuffles = 0
         self.incremental_refreshes = 0
-        #: Bumped on every shuffle; lets the MC cache translations.
-        self.generation = 0
         self._rows = layout.rows_per_subarray
         self._slots = layout.slots_per_subarray
 
@@ -111,7 +109,6 @@ class ShadowBankController:
             for src, dst in slot_copies
         ]
         self.shuffles += 1
-        self.generation += 1
         return refreshed, copies
 
     # -- invariants ----------------------------------------------------------------------

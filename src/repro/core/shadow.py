@@ -95,10 +95,6 @@ class Shadow(Mitigation):
         self._require_bound()
         return self.controller(addr).translate(pa_row)
 
-    def translation_generation(self, addr: BankAddress) -> int:
-        ctrl = self._controllers.get(addr)
-        return ctrl.generation if ctrl is not None else 0
-
     def on_activate(self, addr: BankAddress, pa_row: int, da_row: int,
                     cycle: int):
         self.controller(addr).record_activation(pa_row)
@@ -107,8 +103,8 @@ class Shadow(Mitigation):
     def on_rfm(self, addr: BankAddress, cycle: int) -> RfmOutcome:
         self._require_bound()
         refreshed, copies = self.controller(addr).run_rfm()
-        # run_rfm bumps the bank's translation generation on every call
-        # (a shuffle always executes), so always invalidate.
+        # Every run_rfm shuffles (it always executes), so the bank's
+        # mapping changed: always notify.
         self.notify_translation_changed(addr)
         if self._event_listeners:
             self.emit_event("shuffle", addr, cycle, {

@@ -90,9 +90,10 @@ class Mitigation(abc.ABC):
     #: "throttle", "remap"}``: ``"act"`` -> :meth:`on_activate` per ACT,
     #: ``"ref"`` -> :meth:`on_ref` once per REF, ``"throttle"`` ->
     #: :meth:`before_activate` per candidate ACT (no candidate memo or
-    #: prune), ``"remap"`` -> :meth:`translate` /
-    #: :meth:`translation_generation` instead of the cached identity
-    #: mapping.  ``uses_rfm`` alone gates :meth:`on_rfm`.
+    #: prune), ``"remap"`` -> :meth:`translate` instead of the cached
+    #: identity mapping (the scheme must then call
+    #: :meth:`notify_translation_changed` on every mapping change).
+    #: ``uses_rfm`` alone gates :meth:`on_rfm`.
     hooks: frozenset = frozenset()
 
     def __init__(self) -> None:
@@ -147,21 +148,15 @@ class Mitigation(abc.ABC):
         self._require_bound()
         return self.geometry.layout.identity_da(pa_row)
 
-    def translation_generation(self, addr: BankAddress) -> int:
-        """Monotonic counter bumped whenever this bank's PA-to-DA mapping
-        changes.  The controller reads it only for schemes declaring
-        ``"remap"``."""
-        return 0
-
     # -- invalidation hooks -------------------------------------------------------
 
     def register_translation_listener(
             self, callback: Callable[[BankAddress], None]) -> None:
         """Subscribe to PA-to-DA mapping changes.
 
-        The memory controller registers here so a translation-generation
-        bump (a SHADOW shuffle, an RRS swap) invalidates exactly the
-        affected bank's cached scheduling state.  Wrappers delegating
+        The memory controller registers here so a remap (a SHADOW
+        shuffle, an RRS swap) re-translates exactly the affected bank's
+        queued requests and invalidates its cached scheduling state.  Wrappers delegating
         :meth:`translate` to an inner scheme must forward registration
         to that scheme.
 
@@ -172,11 +167,13 @@ class Mitigation(abc.ABC):
         self._translation_listeners.append(_listener_ref(callback))
 
     def notify_translation_changed(self, addr: BankAddress) -> None:
-        """Tell listeners ``addr``'s mapping (and generation) changed.
+        """Tell listeners ``addr``'s PA-to-DA mapping changed.
 
-        Dynamic schemes MUST call this whenever they bump a bank's
-        translation generation; controllers may otherwise serve stale
-        cached candidates for that bank.
+        This is the one signal of a mapping change: a scheme declaring
+        ``"remap"`` MUST call it after every change to a bank's mapping,
+        once the new mapping is what :meth:`translate` returns.  The
+        controller re-translates that bank's queued requests here and
+        otherwise keeps serving the translations it cached at enqueue.
         """
         for ref in self._translation_listeners:
             callback = ref()

@@ -72,12 +72,9 @@ class FilteredRfm(Mitigation):
     def translate(self, addr: BankAddress, pa_row: int) -> int:
         return self.inner.translate(addr, pa_row)
 
-    def translation_generation(self, addr: BankAddress) -> int:
-        return self.inner.translation_generation(addr)
-
     def register_translation_listener(self, callback) -> None:
-        # Translation is delegated to the inner scheme, so its bumps are
-        # the ones listeners care about.
+        # Translation is delegated to the inner scheme, so its remaps
+        # are the ones listeners care about.
         self.inner.register_translation_listener(callback)
 
     def register_event_listener(self, callback) -> None:

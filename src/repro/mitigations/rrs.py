@@ -53,7 +53,6 @@ class _BankIndirection:
     def __init__(self, identity):
         self._identity = identity
         self._forward: Dict[int, int] = {}
-        self.swap_count = 0
 
     def translate(self, pa_row: int) -> int:
         da = self._forward.get(pa_row)
@@ -65,7 +64,6 @@ class _BankIndirection:
         da_a, da_b = self.translate(pa_a), self.translate(pa_b)
         self._forward[pa_a] = da_b
         self._forward[pa_b] = da_a
-        self.swap_count += 1
 
 
 class RowSwapPolicy(ActionPolicy):
@@ -149,7 +147,3 @@ class RandomizedRowSwap(ComposedMitigation):
     def translate(self, addr: BankAddress, pa_row: int) -> int:
         self._require_bound()
         return self._state(addr).policy.translate(pa_row)
-
-    def translation_generation(self, addr: BankAddress) -> int:
-        state = self._states.get(addr)
-        return state.policy.swap_count if state is not None else 0

@@ -57,7 +57,6 @@ class SnapshotSampler:
             "cand_hits": mc.cand_hits,
             "cand_recomputes": mc.cand_recomputes,
             "translation_invalidations": mc.translation_invalidations,
-            "reindexes": mc.reindexes,
             "channel_commands": [c.commands_issued for c in mc._chans],
             "channel_blocked_cycles": [c.blocked_cycles for c in mc._chans],
         }
@@ -121,7 +120,6 @@ def collect_summary(system, result=None) -> Dict:
             "pruned": mc.cand_pruned,
             "hit_rate": (mc.cand_hits / evals) if evals else 0.0,
             "translation_invalidations": mc.translation_invalidations,
-            "reindexes": mc.reindexes,
         },
         "drain": {
             "calls": mc.drains,

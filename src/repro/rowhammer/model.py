@@ -19,13 +19,14 @@ Observer contract (what the memory controller reports, in DA space):
 * once, at construction -> ``bind`` with the device's geometry, the way
   the controller binds the mitigation, so neighbours and the refresh
   wrap-around follow the simulated subarray layout;
-* every issued ACT -> ``on_activate`` with the post-translate DA row,
-  so a remapping scheme's shuffled hot rows are charged where the
-  device actually activates them;
-* each ACT's mitigation outcome -> ``on_act_outcome``, which passes
-  ``ActOutcome.trr_rows`` and then ``ActOutcome.restored_rows`` to
-  ``on_row_refresh`` (targeted recharge: the row's accumulated
-  disturbance resets);
+* every issued ACT -> one ``on_activate`` call, made after the
+  mitigation's ACT hook, with the post-translate DA row (so a remapping
+  scheme's shuffled hot rows are charged where the device actually
+  activates them) and the hook's :class:`ActOutcome`, or ``None`` when
+  the scheme has no ACT hook or returned nothing.  The ACT charges its
+  neighbours first; then ``ActOutcome.trr_rows`` and
+  ``ActOutcome.restored_rows`` go, in that order, to ``on_row_refresh``
+  (targeted recharge: the row's accumulated disturbance resets);
 * each RFM's mitigation outcome -> ``on_rfm_outcome``, which passes
   ``RfmOutcome.refreshed_rows`` to ``on_row_refresh`` and then
   ``RfmOutcome.copies`` to ``on_row_copy`` (disturbance and any
@@ -125,8 +126,9 @@ class DisturbanceModel:
     """Per-row weighted disturbance counters with reset semantics.
 
     Implements the observer interface the memory controller calls (see
-    the module docstring): ``bind``, ``on_activate``, ``on_refresh``,
-    ``on_act_outcome`` and ``on_rfm_outcome``.
+    the module docstring): ``bind``, ``on_activate`` (one call per ACT,
+    carrying the mitigation's ACT outcome), ``on_refresh`` and
+    ``on_rfm_outcome``.
     """
 
     def __init__(self, config: HammerConfig,
@@ -172,8 +174,11 @@ class DisturbanceModel:
 
     # -- observer interface -------------------------------------------------------
 
-    def on_activate(self, addr: BankAddress, da_row: int, cycle: int) -> None:
-        """Charge disturbance to the neighbours; restore the row itself."""
+    def on_activate(self, addr: BankAddress, da_row: int, cycle: int,
+                    outcome: Optional[ActOutcome] = None) -> None:
+        """Charge disturbance to the neighbours and restore the row
+        itself; then apply the ACT's mitigation ``outcome``, if any: TRR
+        victim refreshes, then the rows an RRS-style swap rewrote."""
         self.total_acts += 1
         bank = self._counters.get(addr)
         if bank is None:
@@ -186,6 +191,11 @@ class DisturbanceModel:
             bank[victim] = value
             if value >= hcnt:
                 self._record_flip(addr, victim, cycle, value)
+        if outcome is not None:
+            for row in outcome.trr_rows:
+                self.on_row_refresh(addr, row, cycle)
+            for row in outcome.restored_rows:
+                self.on_row_refresh(addr, row, cycle)
 
     def on_refresh(self, addrs: Sequence[BankAddress], lo: int, hi: int,
                    cycle: int) -> None:
@@ -233,15 +243,6 @@ class DisturbanceModel:
         if bank:
             bank.pop(src, None)
             bank.pop(dst, None)
-
-    def on_act_outcome(self, addr: BankAddress, outcome: ActOutcome,
-                       cycle: int) -> None:
-        """Apply one ACT's mitigation outcome: TRR victim refreshes,
-        then the rows an RRS-style swap rewrote."""
-        for row in outcome.trr_rows:
-            self.on_row_refresh(addr, row, cycle)
-        for row in outcome.restored_rows:
-            self.on_row_refresh(addr, row, cycle)
 
     def on_rfm_outcome(self, addr: BankAddress, outcome: RfmOutcome,
                        cycle: int) -> None:

@@ -91,8 +91,8 @@ class _Substrate:
 
     def activate(self, pa_row: int) -> None:
         da = self.translate(pa_row)
-        self.model.on_activate(_ADDR, da, cycle=0)
-        self.mitigation.on_activate(_ADDR, pa_row, da, 0)
+        out = self.mitigation.on_activate(_ADDR, pa_row, da, 0)
+        self.model.on_activate(_ADDR, da, 0, out)
         if self.mitigation.uses_rfm:
             self._acts_since_rfm += 1
             if self._acts_since_rfm >= self.mitigation.raaimt:

@@ -9,6 +9,7 @@ from repro.dram.device import BankAddress, DramDevice, DramGeometry
 from repro.dram.subarray import SubarrayLayout
 from repro.dram.timing import DDR4_2666
 from repro.mitigations import NoMitigation
+from repro.mitigations.rrs import RandomizedRowSwap
 from repro.rowhammer import DisturbanceModel, HammerConfig
 
 T = DDR4_2666
@@ -248,3 +249,28 @@ class TestHammerObservation:
         assert hammer.flipped
         flip = hammer.first_flip()
         assert flip.da_row == SMALL.layout.identity_da(11)
+
+    def test_one_observer_call_per_act_carries_the_outcome(self):
+        class Spy(DisturbanceModel):
+            def __init__(self, config):
+                super().__init__(config)
+                self.calls = 0
+                self.swap_outcomes = 0
+
+            def on_activate(self, addr, da_row, cycle, outcome=None):
+                self.calls += 1
+                if outcome is not None and outcome.restored_rows:
+                    self.swap_outcomes += 1
+                super().on_activate(addr, da_row, cycle, outcome)
+
+        spy = Spy(HammerConfig(hcnt=30, blast_radius=1,
+                               layout=SMALL.layout))
+        rrs = RandomizedRowSwap.for_hcnt(30)   # swaps every 5th ACT
+        device, mc = make_mc(mitigation=rrs, observer=spy)
+        for i in range(60):
+            mc.enqueue(req(row=10 if i % 2 else 12, arrival=i))
+            run_to_completion(mc)
+        acts = device.aggregate_stats().acts
+        assert rrs.swaps > 0
+        assert spy.calls == spy.total_acts == acts
+        assert spy.swap_outcomes == rrs.swaps

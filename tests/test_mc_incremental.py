@@ -2,7 +2,7 @@
 
 Covers the invariants the candidate cache must preserve: FIFO-age
 tie-breaking, O(1) pending counters, refresh obligations on idle
-channels, cache invalidation on translation-generation bumps, and the
+channels, re-translation and cache invalidation on remap notices, and the
 throttler gate on lower-bound pruning.
 """
 
@@ -188,7 +188,6 @@ class _RemapToggle(Mitigation):
         self.row_a = row_a
         self.row_b = row_b
         self.flipped = False
-        self.generation = 0
 
     def translate(self, addr, pa_row):
         base = self.geometry.layout.identity_da
@@ -199,12 +198,8 @@ class _RemapToggle(Mitigation):
                 return base(self.row_a)
         return base(pa_row)
 
-    def translation_generation(self, addr):
-        return self.generation
-
     def flip(self, addr):
         self.flipped = not self.flipped
-        self.generation += 1
         self.notify_translation_changed(addr)
 
 
@@ -235,12 +230,19 @@ class TestTranslationInvalidation:
     def test_listener_registered_by_controller(self):
         mitigation = _RemapToggle(row_a=1, row_b=2)
         device, mc = make_mc(mitigation, refresh=False)
-        mc.enqueue(req(row=1))
+        ident = mitigation.geometry.layout.identity_da
+        queued = req(row=1)
+        mc.enqueue(queued)
         ctx = mc._ctx[BankAddress(0, 0, 0)]
         mc._best_candidate(0, 0)
         assert not ctx.dirty
         mitigation.flip(BankAddress(0, 0, 0))
         assert ctx.dirty
+        # The notification itself re-translates the queue and re-keys
+        # the hit index: no drain or scan runs in between.
+        assert queued.da_row == ident(2)
+        assert list(ctx.hit_index) == [ident(2)]
+        assert list(ctx.hit_index[ident(2)]) == [queued]
 
 
 def _load_golden_generator():

@@ -121,10 +121,7 @@ class _Probe:
     def bind(self, geometry):
         pass
 
-    def on_activate(self, addr, da_row, cycle):
-        pass
-
-    def on_act_outcome(self, addr, outcome, cycle):
+    def on_activate(self, addr, da_row, cycle, outcome=None):
         pass
 
     def on_rfm_outcome(self, addr, outcome, cycle):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.dram.device import BankAddress
 from repro.dram.subarray import SubarrayLayout
+from repro.mitigations.base import ActOutcome
 from repro.rowhammer.model import (
     BitFlip,
     DisturbanceModel,
@@ -133,6 +134,20 @@ class TestResets:
         model.on_row_copy(ADDR, 9, 11, cycle=1)
         assert model.disturbance(ADDR, 9) == 0.0
         assert model.disturbance(ADDR, 11) == 0.0
+
+    @pytest.mark.parametrize("field", ["trr_rows", "restored_rows"])
+    def test_act_outcome_applies_after_the_charge(self, field):
+        # The ACT that pushes victim 11 to hcnt also refreshes it: the
+        # flip is recorded first, then the refresh resets the row.
+        model = make(hcnt=4, radius=1)
+        for i in range(3):
+            model.on_activate(ADDR, 10, cycle=i)
+        assert not model.flipped
+        model.on_activate(ADDR, 10, 3, ActOutcome(**{field: [11]}))
+        assert [(f.da_row, f.cycle) for f in model.flips] == [(9, 3),
+                                                              (11, 3)]
+        assert model.disturbance(ADDR, 11) == 0.0
+        assert model.disturbance(ADDR, 9) == 4.0
 
     def test_reset_clears_everything(self):
         model = make(hcnt=2, radius=1)
