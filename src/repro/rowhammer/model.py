@@ -97,8 +97,10 @@ class HammerConfig:
     def __post_init__(self) -> None:
         if self.hcnt <= 0:
             raise ValueError("hcnt must be positive")
-        if self.blast_radius < 0:
-            raise ValueError("blast_radius must be non-negative")
+        # A zero radius disturbs no neighbour, so no bit could ever
+        # flip and every run would read as secure.
+        if self.blast_radius < 1:
+            raise ValueError("blast_radius must be >= 1")
 
 
 @dataclass(frozen=True)

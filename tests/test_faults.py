@@ -284,6 +284,13 @@ class TestFaultSpec:
         with pytest.raises(Exception):
             fault_spec(policy="no-such-policy")
 
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_blast_radius_below_one_is_rejected(self, radius):
+        # A zero radius disturbs no neighbour: the injector could never
+        # flip a bit, so every red-team cell would read as secure.
+        with pytest.raises(ValueError, match="blast_radius"):
+            fault_spec(hcnt=16, blast_radius=radius)
+
     def test_build_injector_honours_all_fields(self):
         spec = fault_spec(hcnt=16, blast_radius=2, policy="none",
                           seed=3, codewords_per_row=8,

@@ -167,6 +167,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             HammerConfig(hcnt=10, blast_radius=-1)
 
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_blast_radius_below_one_is_rejected(self, radius):
+        # Radius 0 has no neighbours (``da_neighbors(row, 0) == []``), so
+        # the model could never flip a bit.
+        assert LAYOUT.da_neighbors(40, 0) == []
+        with pytest.raises(ValueError, match="blast_radius"):
+            HammerConfig(hcnt=10, blast_radius=radius)
+
 
 class TestIncrementalRefreshSweep:
     """Regression: a REF-by-REF sweep must reset every DA it covers.
