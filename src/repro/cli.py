@@ -6,8 +6,8 @@ script) bundles the common flows:
 * ``run``       -- simulate a workload under a chosen mitigation
 * ``attack``    -- drive a Row Hammer pattern and report flips
 * ``security``  -- evaluate the Appendix XI bounds for a configuration
-* ``experiment``-- run a paper table/figure by name, print and save it
-* ``redteam``   -- replay the adversary suite against every scheme
+* ``experiment``-- run a paper table/figure (or the red-team grid) by
+  name, print and save it; ``--dump-spec`` prints its spec instead
 * ``templating``-- templating campaign (static vs SHADOW)
 * ``bench``     -- observability and fault-injection overhead gates
 * ``stats``     -- run a workload with metrics on and print the summary
@@ -302,18 +302,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_redteam(args) -> int:
-    """Handle ``shadow-repro redteam`` (adversary suite x scheme zoo)."""
-    from repro.experiments import redteam
-    return run_experiment(
-        args, f"redteam_{args.fidelity}",
-        lambda engine: redteam.run(
-            args.fidelity, engine=engine, hcnt=args.hcnt,
-            policy=args.policy, seed=args.seed,
-            schemes=args.schemes or None, attacks=args.attacks or None),
-        redteam.render)
-
-
 #: Every ``experiment`` name: a module in :mod:`repro.experiments` with
 #: ``spec``, ``run`` and ``render``.
 EXPERIMENTS = ("table2", "table3", "fig8", "fig9", "fig10", "fig11",
@@ -330,9 +318,6 @@ def cmd_experiment(args) -> int:
     module = importlib.import_module(f"repro.experiments.{args.name}")
     if args.dump_spec:
         import json
-        if not hasattr(module, "spec"):
-            raise SystemExit(
-                f"{args.name} does not define a declarative spec")
         print(json.dumps(module.spec(args.fidelity).to_dict(), indent=2,
                          sort_keys=True))
         return 0
@@ -354,7 +339,7 @@ def cmd_experiment(args) -> int:
 
 
 def _add_engine_flags(parser, scope: str) -> None:
-    """The experiment engine's flags, shared by run/experiment/redteam."""
+    """The experiment engine's flags, shared by run and experiment."""
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help=f"worker processes {scope} (default: 1, "
                              f"run inline)")
@@ -488,35 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="allowed injector-on slowdown with "
                               "--fault-overhead (default 0.20)")
     bench_p.set_defaults(func=cmd_bench)
-
-    from repro.experiments.redteam import FULL_ATTACKS
-    from repro.spec.registry import FAULT_POLICIES
-
-    redteam_p = add_parser(
-        "redteam", help="replay the adversary suite against every scheme "
-                        "with in-loop fault injection")
-    redteam_p.add_argument("fidelity", nargs="?", default="smoke",
-                           choices=["smoke", "full"],
-                           help="smoke: the none-vs-shadow discrimination "
-                                "pair; full: the whole registry zoo "
-                                "(default: smoke)")
-    redteam_p.add_argument("--hcnt", type=int, default=None,
-                           help="hammer-count threshold "
-                                "(default: 1024 smoke / 4096 full)")
-    redteam_p.add_argument("--policy", default="retire",
-                           choices=FAULT_POLICIES.names(),
-                           help="degradation policy on detected-"
-                                "uncorrectable errors (default: retire)")
-    redteam_p.add_argument("--seed", type=int, default=1,
-                           help="trace and injection seed (default: 1)")
-    redteam_p.add_argument("--schemes", nargs="*", metavar="SCHEME",
-                           help="restrict to these schemes")
-    redteam_p.add_argument("--attacks", nargs="*", choices=FULL_ATTACKS,
-                           metavar="ATTACK",
-                           help=f"restrict to these attacks (choices: "
-                                f"{', '.join(FULL_ATTACKS)})")
-    _add_engine_flags(redteam_p, "for the attack grid")
-    redteam_p.set_defaults(func=cmd_redteam)
 
     return parser
 

@@ -1,4 +1,5 @@
-"""Experiment drivers: one module per paper table/figure.
+"""Experiment drivers: one module per paper table/figure, plus the
+red-team grid.
 
 Every module exposes ``spec(fidelity)`` returning the figure as a
 declarative :class:`~repro.spec.ExperimentSpec`, ``run(fidelity,
@@ -6,8 +7,8 @@ engine=None)`` executing it through the generic driver
 (:func:`run_spec`) into a plain dict of the rows/series the paper
 reports, and ``render(results)`` formatting that dict as the printed
 table.  ``shadow-repro experiment <name> [smoke|full]`` runs, renders
-and saves any of them (``redteam`` builds its job grid directly rather
-than through a spec).
+and saves any of them; ``--dump-spec`` prints the spec as JSON, which
+``shadow-repro run --spec`` runs back (edited or not).
 
 ``fidelity`` selects the run scale:
 

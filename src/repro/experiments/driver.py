@@ -18,17 +18,17 @@ This module interprets that data:
    SPEC group, Figure 11's mix-random variants).
 
 Metrics live in a registry of their own (:data:`METRICS`): the
-simulation ratios and run counts are defined here, the closed-form
-analytic metrics register from the modules that own their models
-(``table2``, ``table3``, ``ablations``).  Because specs are plain data,
-``run_spec`` accepts a spec rehydrated from JSON just as happily as one
-built in code -- ``shadow-repro run --spec grid.json`` runs a
+simulation ratios, run counts and fault outcomes are defined here, the
+closed-form analytic metrics register from the modules that own their
+models (``table2``, ``table3``, ``ablations``).  Because specs are plain
+data, ``run_spec`` accepts a spec rehydrated from JSON just as happily
+as one built in code -- ``shadow-repro run --spec grid.json`` runs a
 serialized experiment end to end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.engine import (
@@ -40,7 +40,7 @@ from repro.experiments.engine import (
     shared_job,
 )
 from repro.sim.metrics import relative_weighted_speedup
-from repro.spec import ExperimentSpec
+from repro.spec import ExperimentSpec, FaultSpec
 from repro.spec.base import thaw_params
 from repro.spec.registry import Registry
 
@@ -188,12 +188,53 @@ class _SharedCount:
         return getattr(result, stat)
 
 
+class _Faults:
+    """In-loop fault-injection outcome of one run (the red-team cells).
+
+    The point's ``params`` are the :class:`~repro.spec.FaultSpec` of the
+    injector (an unknown key is an error); the value is the time to
+    first flip, the ECC outcome counts and the degradation events.
+    """
+
+    #: FR-FCFS must not batch the rotation into row hits -- every
+    #: access is the activation a real hammer loop produces.
+    MLP = 1
+
+    def plan(self, rp):
+        return {"run": Job(rp.profiles, rp.point.scheme,
+                           replace(rp.config, mlp=self.MLP),
+                           faults=FaultSpec(**rp.params))}
+
+    def value(self, rp, plan, results):
+        result = results[plan["run"]]
+        faults = result.faults or {}
+        counts = faults.get("counts", {})
+        first = faults.get("first_flip_cycle")
+        return {
+            "cycles": result.cycles,
+            "acts": result.acts,
+            "time_to_first_flip_ns": (
+                first * result.tck_ns if first is not None else None),
+            "bits_injected": counts.get("bits_injected", 0),
+            "corrected": counts.get("corrected", 0),
+            "uncorrectable": counts.get("uncorrectable", 0),
+            "silent": counts.get("silent", 0),
+            "rows_flipped": faults.get("rows_flipped", 0),
+            "repairs": counts.get("repairs", 0),
+            "retries": counts.get("retries", 0),
+            "panics": counts.get("panics", 0),
+            "degradation_events": faults.get("degradation_events_total", 0),
+            "panicked": faults.get("panicked", False),
+        }
+
+
 METRICS.register("ws-relative", _WsRelative())
 METRICS.register("st-relative", _StRelative())
 METRICS.register("mt-relative", _MtRelative())
 METRICS.register("relative-power", _RelativePower())
 METRICS.register("rfm-per-ref", _RfmPerRef())
 METRICS.register("shared-count", _SharedCount())
+METRICS.register("faults", _Faults())
 
 
 # -- the interpreter ---------------------------------------------------------------
@@ -216,22 +257,13 @@ def _insert(output: Dict[str, Any], path: Tuple[str, ...],
     node[path[-1]] = value
 
 
-def run_spec(spec: ExperimentSpec,
-             engine: Optional[Engine] = None) -> Dict:
-    """Interpret one experiment spec; returns the figure's result dict.
+def plan_spec(spec: ExperimentSpec
+              ) -> Tuple[List[ResolvedPoint], List[Dict[str, Any]],
+                         List[Job]]:
+    """Resolve every point and let its metric plan the jobs it needs.
 
-    The result starts from ``{"experiment": name, "fidelity": fidelity}``
-    plus the spec's ``meta`` entries, then every point's value lands at
-    its group path.  Points sharing a path are averaged in insertion
-    order, reproducing the per-group means of the pre-spec drivers
-    float-for-float.
-
-    With a keep-going engine, jobs that failed permanently are missing
-    from the result dict: points that depend on them are skipped (they
-    simply don't contribute to their group's average) and the output
-    gains a ``"failures"`` section -- the engine's failure report plus
-    the skipped group paths -- so a driver gets partial results and a
-    structured report instead of a mid-sweep traceback.
+    Returns the resolved points, their plans (in point order) and every
+    planned job, duplicates included (the engine deduplicates them).
     """
     # Resolve specs to simulator objects once per distinct spec: the
     # grids reuse a handful of workloads/configs across hundreds of
@@ -261,6 +293,27 @@ def run_spec(spec: ExperimentSpec,
         all_jobs.extend(_plan_jobs(plan))
         resolved.append(rp)
         plans.append(plan)
+    return resolved, plans, all_jobs
+
+
+def run_spec(spec: ExperimentSpec,
+             engine: Optional[Engine] = None) -> Dict:
+    """Interpret one experiment spec; returns the figure's result dict.
+
+    The result starts from ``{"experiment": name, "fidelity": fidelity}``
+    plus the spec's ``meta`` entries, then every point's value lands at
+    its group path.  Points sharing a path are averaged in insertion
+    order, reproducing the per-group means of the pre-spec drivers
+    float-for-float.
+
+    With a keep-going engine, jobs that failed permanently are missing
+    from the result dict: points that depend on them are skipped (they
+    simply don't contribute to their group's average) and the output
+    gains a ``"failures"`` section -- the engine's failure report plus
+    the skipped group paths -- so a driver gets partial results and a
+    structured report instead of a mid-sweep traceback.
+    """
+    resolved, plans, all_jobs = plan_spec(spec)
 
     # A spec of analytic points runs no job and builds no engine (an
     # engine opens the result cache).
@@ -311,5 +364,6 @@ __all__ = [
     "METRICS",
     "ResolvedPoint",
     "command_counts",
+    "plan_spec",
     "run_spec",
 ]

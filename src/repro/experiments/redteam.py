@@ -10,6 +10,12 @@ flip, ECC-corrected vs detected-uncorrectable vs silent counts, and the
 degradation events (sPPR retires, retries, panics) each scheme's
 survivors trigger.
 
+The grid is an :class:`~repro.spec.ExperimentSpec` like every other
+figure: one ``faults`` point per (scheme, attack) cell, whose params are
+the cell's :class:`~repro.spec.FaultSpec`.  ``experiment redteam
+--dump-spec`` prints it; an edited copy (another ``policy``, ``hcnt`` or
+``seed``) runs through ``run --spec``.
+
 Smoke fidelity is the CI discrimination check: the same adversarial
 trace and seed must produce at least one detected-uncorrectable flip
 under ``none`` and zero flips under ``shadow``.
@@ -19,13 +25,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.engine import Engine, Job, JobResult
+from repro.experiments.driver import run_spec
+from repro.experiments.engine import Engine
 from repro.experiments.extended import matrix_schemes
 from repro.experiments.report import format_table
-from repro.sim.system import SystemConfig
-from repro.spec import FaultSpec, scheme_spec
+from repro.spec import (
+    ExperimentSpec,
+    PointSpec,
+    SimSpec,
+    scheme_spec,
+    workload_spec,
+)
 from repro.spec.registry import SCHEMES
-from repro.workloads.hammer import hammer_profile
 
 #: Attack patterns the harness replays (names of ``HammerProfile.attack``).
 SMOKE_ATTACKS: Tuple[str, ...] = ("double-sided",)
@@ -59,27 +70,18 @@ def redteam_schemes(fidelity: str) -> List[str]:
     return ["none"] + matrix_schemes()
 
 
-def _fault_spec(hcnt: int, policy: str, seed: int,
-                attack: str) -> FaultSpec:
-    # Half-Double's far aggressors only matter when the defender's own
-    # targeted refreshes hammer their neighbours.
-    return FaultSpec(hcnt=hcnt, policy=policy, seed=seed,
-                     refresh_hammers_neighbors=(attack == "half-double"))
-
-
-def jobs(fidelity: str = "smoke", hcnt: Optional[int] = None,
-         policy: str = "retire", seed: int = 1,
-         schemes: Optional[Sequence[str]] = None,
-         attacks: Optional[Sequence[str]] = None
-         ) -> Dict[Tuple[str, str], Job]:
-    """One job per (scheme, attack) cell, all sharing trace and seed."""
+def spec(fidelity: str = "smoke", hcnt: Optional[int] = None,
+         seed: int = 1, schemes: Optional[Sequence[str]] = None,
+         attacks: Optional[Sequence[str]] = None) -> ExperimentSpec:
+    """The grid as data: one ``faults`` point per (scheme, attack) cell,
+    all sharing trace and seed."""
     hcnt = hcnt if hcnt is not None else _FIDELITY_HCNT[fidelity]
     schemes = list(schemes) if schemes else redteam_schemes(fidelity)
     attacks = tuple(attacks) if attacks \
         else (SMOKE_ATTACKS if fidelity == "smoke" else FULL_ATTACKS)
-    grid: Dict[Tuple[str, str], Job] = {}
+    points = []
     for name in schemes:
-        spec = scheme_spec(
+        scheme = scheme_spec(
             name, **SCHEMES.buildable_params(name, {"hcnt": hcnt}))
         for attack in attacks:
             # Enough activations for the undefended victim to cross hcnt
@@ -88,69 +90,30 @@ def jobs(fidelity: str = "smoke", hcnt: Optional[int] = None,
             # uncorrectable one.
             efficiency = _ATTACK_EFFICIENCY.get(attack, 1.0)
             requests = int(hcnt / efficiency) + max(512, hcnt // 2)
-            # mlp=1 so FR-FCFS cannot batch the rotation into row hits
-            # -- every access is the activation a real hammer loop
-            # produces.
-            config = SystemConfig(requests_per_thread=requests, mlp=1,
-                                  seed=seed)
-            grid[(name, attack)] = Job(
-                profiles=(hammer_profile(attack, victim_row=VICTIM_ROW),),
-                scheme=spec,
-                config=config,
-                faults=_fault_spec(hcnt, policy, seed, attack))
-    return grid
+            points.append(PointSpec(
+                "faults", ("schemes", name, attack),
+                workload=workload_spec("hammer", attack=attack,
+                                       victim_row=VICTIM_ROW),
+                scheme=scheme,
+                sim=SimSpec(requests=requests, seed=seed),
+                # Half-Double's far aggressors only matter when the
+                # defender's own targeted refreshes hammer their
+                # neighbours.
+                params={"hcnt": hcnt, "policy": "retire", "seed": seed,
+                        "refresh_hammers_neighbors":
+                            attack == "half-double"}))
+    return ExperimentSpec("redteam", fidelity, points, meta={
+        "hcnt": hcnt, "policy": "retire", "seed": seed,
+        "victim_row": VICTIM_ROW, "attacks": sorted(set(attacks))})
 
 
-def _entry(result: JobResult) -> Dict:
-    faults = result.faults or {}
-    counts = faults.get("counts", {})
-    first = faults.get("first_flip_cycle")
-    return {
-        "cycles": result.cycles,
-        "acts": result.acts,
-        "time_to_first_flip_ns": (
-            first * result.tck_ns if first is not None else None),
-        "bits_injected": counts.get("bits_injected", 0),
-        "corrected": counts.get("corrected", 0),
-        "uncorrectable": counts.get("uncorrectable", 0),
-        "silent": counts.get("silent", 0),
-        "rows_flipped": faults.get("rows_flipped", 0),
-        "repairs": counts.get("repairs", 0),
-        "retries": counts.get("retries", 0),
-        "panics": counts.get("panics", 0),
-        "degradation_events": faults.get("degradation_events_total", 0),
-        "panicked": faults.get("panicked", False),
-    }
-
-
-def run(fidelity: str = "smoke",
-        engine: Optional[Engine] = None, hcnt: Optional[int] = None,
-        policy: str = "retire", seed: int = 1,
+def run(fidelity: str = "smoke", engine: Optional[Engine] = None,
+        hcnt: Optional[int] = None, seed: int = 1,
         schemes: Optional[Sequence[str]] = None,
         attacks: Optional[Sequence[str]] = None) -> Dict:
     """Run the grid; returns the JSON-able report."""
-    engine = engine if engine is not None else Engine()
-    hcnt = hcnt if hcnt is not None else _FIDELITY_HCNT[fidelity]
-    grid = jobs(fidelity, hcnt=hcnt, policy=policy, seed=seed,
-                schemes=schemes, attacks=attacks)
-    results = engine.run(list(grid.values()))
-    table: Dict[str, Dict[str, Dict]] = {}
-    for (scheme, attack), job in grid.items():
-        result = results.get(job)
-        if result is not None:
-            table.setdefault(scheme, {})[attack] = _entry(result)
-    report = {
-        "fidelity": fidelity,
-        "hcnt": hcnt,
-        "policy": policy,
-        "seed": seed,
-        "victim_row": VICTIM_ROW,
-        "attacks": sorted({attack for _, attack in grid}),
-        "schemes": table,
-    }
-    if engine.failures:
-        report["failures"] = engine.failure_report()
-    return report
+    return run_spec(spec(fidelity, hcnt, seed, schemes, attacks),
+                    engine=engine)
 
 
 def render(report: Dict) -> str:

@@ -120,7 +120,7 @@ class TestFlagParsing:
             build_parser().parse_args(["bench", "--overhead", *flags])
 
     @pytest.mark.parametrize("command", [
-        ["run"], ["experiment", "fig12", "smoke"], ["redteam", "smoke"],
+        ["run"], ["experiment", "fig12", "smoke"],
     ], ids=lambda command: command[0])
     @pytest.mark.parametrize("flags", [
         ["--retries", "1"], ["--job-timeout", "5"],
@@ -222,8 +222,8 @@ COMMITTED = [
 
 
 class TestExperimentCommand:
-    """``experiment``, ``redteam`` and ``run --spec`` share one
-    run-report-render-save path."""
+    """``experiment`` and ``run --spec`` share one run-report-render-save
+    path."""
 
     @pytest.mark.parametrize("name,result,title", COMMITTED,
                              ids=[c[0] for c in COMMITTED])
@@ -260,8 +260,23 @@ class TestExperimentCommand:
         assert main(["experiment", "fig12", "--dump-spec"]) == 0
         assert json.loads(capsys.readouterr().out)["fidelity"] == "full"
 
-    def test_redteam_defaults_to_smoke(self):
-        assert build_parser().parse_args(["redteam"]).fidelity == "smoke"
+    def test_redteam_is_an_experiment_not_a_subcommand(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["redteam"])
+
+    def test_dumped_redteam_spec_reproduces_committed_result(
+            self, tmp_path, monkeypatch, capsys):
+        # The red-team grid is spec data like every figure: its dumped
+        # smoke spec, run through the generic driver, saves the
+        # committed file byte for byte.
+        assert main(["experiment", "redteam", "smoke", "--dump-spec"]) == 0
+        path = tmp_path / "redteam.json"
+        path.write_text(capsys.readouterr().out)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--spec", str(path), "--no-cache"]) == 0
+        saved = tmp_path / "results" / "redteam_smoke.json"
+        assert saved.read_bytes() == (REPO / "results"
+                                      / "redteam_smoke.json").read_bytes()
 
     def test_run_spec_keep_going_failure_exits_nonzero(
             self, tmp_path, monkeypatch, capsys):
