@@ -74,7 +74,15 @@ class Registry:
         return name in self._entries
 
     def resolve(self, name: str) -> Callable[..., Any]:
-        """The factory for ``name`` (did-you-mean error if unknown)."""
+        """The factory for ``name`` (did-you-mean error if unknown).
+
+        A name already registered needs no provider import: planning a
+        spec of driver-defined metrics must not import the analytic
+        models just to look one up.
+        """
+        factory = self._entries.get(name)
+        if factory is not None:
+            return factory
         self._ensure_loaded()
         try:
             return self._entries[name]

@@ -29,7 +29,13 @@ from repro.spec import (
     scheme_spec,
     workload_spec,
 )
-from repro.spec.registry import SCHEMES, TIMINGS, WORKLOADS, UnknownNameError
+from repro.spec.registry import (
+    SCHEMES,
+    TIMINGS,
+    WORKLOADS,
+    Registry,
+    UnknownNameError,
+)
 
 # -- strategies --------------------------------------------------------------------
 
@@ -175,6 +181,15 @@ class TestRegistryErrors:
     def test_reregistration_with_different_factory_fails(self):
         with pytest.raises(ValueError, match="already registered"):
             SCHEMES.register("shadow", lambda: None)
+
+    def test_registered_name_resolves_without_provider_import(self):
+        # Providers load only for a name not yet registered: looking up
+        # a driver-defined metric must not import the analytic models.
+        registry = Registry("thing", providers=("repro.no_such_module",))
+        factory = registry.register("here", lambda: 1)
+        assert registry.resolve("here") is factory
+        with pytest.raises(ModuleNotFoundError):
+            registry.resolve("elsewhere")
 
 
 class TestBuild:
