@@ -62,10 +62,6 @@ class TimingParams:
     tRFM: int       # bank-blocking time provisioned per RFM command
     raaimt: int = 32   # default RFM threshold (overridden per experiment)
 
-    # Extra ACT latency charged by a mitigation (SHADOW's tRD_RM); kept in
-    # the timing set so a configured system has one source of truth.
-    act_extra: int = 0
-
     extras: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -89,11 +85,6 @@ class TimingParams:
         return self.tRAS + self.tRP
 
     @property
-    def tRCD_effective(self) -> int:
-        """tRCD including any mitigation-imposed extra latency (tRCD')."""
-        return self.tRCD + self.act_extra
-
-    @property
     def refreshes_per_window(self) -> int:
         """Number of REF commands in one tREFW."""
         return max(1, self.tREFW // self.tREFI)
@@ -106,12 +97,6 @@ class TimingParams:
         """Convert cycles of this speed grade to nanoseconds."""
         return cycles * self.tck_ns
 
-    def with_act_extra(self, extra_cycles: int) -> "TimingParams":
-        """Return a copy with ``act_extra`` (e.g. SHADOW's tRD_RM) set."""
-        if extra_cycles < 0:
-            raise ValueError("extra ACT latency must be non-negative")
-        return replace(self, act_extra=extra_cycles)
-
     def with_trcd(self, trcd: int) -> "TimingParams":
         """Return a copy with a different base tRCD (Fig. 9 sensitivity)."""
         return replace(self, tRCD=trcd)
@@ -119,9 +104,6 @@ class TimingParams:
     def with_refresh_interval(self, trefi: int) -> "TimingParams":
         """Return a copy with a different tREFI (DRR, RFM emulation)."""
         return replace(self, tREFI=trefi)
-
-    def with_raaimt(self, raaimt: int) -> "TimingParams":
-        return replace(self, raaimt=raaimt)
 
 
 def _make_ddr4_2666() -> TimingParams:

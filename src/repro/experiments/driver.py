@@ -41,7 +41,7 @@ from repro.experiments.engine import (
 )
 from repro.sim.metrics import relative_weighted_speedup
 from repro.spec import ExperimentSpec, FaultSpec
-from repro.spec.base import thaw_params
+from repro.spec.base import thaw, thaw_params
 from repro.spec.registry import Registry
 
 #: How a point's value is computed.  The analytic metrics register from
@@ -296,15 +296,43 @@ def plan_spec(spec: ExperimentSpec
     return resolved, plans, all_jobs
 
 
+def derive_labels(spec: ExperimentSpec) -> Dict[str, Any]:
+    """The spec's result labels, read from the points that carry them.
+
+    A swept label (a one-element list) is the distinct values in point
+    order; a scalar label must have one value across the points, else
+    ``ValueError``.
+    """
+    labels: Dict[str, Any] = {}
+    for name, path in spec.labels:
+        swept = isinstance(path, tuple)
+        if swept:
+            (path,) = path
+        source, _, key = path.partition(".")
+        if source not in ("scheme", "workload", "params"):
+            raise ValueError(f"label {name!r} reads no point field: {path}")
+        values: List[Any] = []
+        for point in spec.points:
+            bag = getattr(point, source)
+            bag = bag if source == "params" else getattr(bag, "params", ())
+            values += [thaw(v) for k, v in bag
+                       if k == key and thaw(v) not in values]
+        if not swept and len(values) != 1:
+            raise ValueError(f"label {name!r} reads {path}, but the points "
+                             f"carry {values}, not one value")
+        labels[name] = values if swept else values[0]
+    return labels
+
+
 def run_spec(spec: ExperimentSpec,
              engine: Optional[Engine] = None) -> Dict:
     """Interpret one experiment spec; returns the figure's result dict.
 
     The result starts from ``{"experiment": name, "fidelity": fidelity}``
-    plus the spec's ``meta`` entries, then every point's value lands at
-    its group path.  Points sharing a path are averaged in insertion
-    order, reproducing the per-group means of the pre-spec drivers
-    float-for-float.
+    plus the labels :func:`derive_labels` reads (before any job runs),
+    then every point's value lands at its group path.  Points sharing a
+    path are averaged in insertion order, reproducing the per-group
+    means of the pre-spec drivers float-for-float.
 
     With a keep-going engine, jobs that failed permanently are missing
     from the result dict: points that depend on them are skipped (they
@@ -313,6 +341,9 @@ def run_spec(spec: ExperimentSpec,
     the skipped group paths -- so a driver gets partial results and a
     structured report instead of a mid-sweep traceback.
     """
+    output: Dict[str, Any] = {"experiment": spec.name,
+                              "fidelity": spec.fidelity,
+                              **derive_labels(spec)}
     resolved, plans, all_jobs = plan_spec(spec)
 
     # A spec of analytic points runs no job and builds no engine (an
@@ -324,9 +355,6 @@ def run_spec(spec: ExperimentSpec,
         results = {}
     failures = engine.failures if engine is not None else {}
 
-    output: Dict[str, Any] = {"experiment": spec.name,
-                              "fidelity": spec.fidelity}
-    output.update(thaw_params(spec.meta))
     groups: Dict[Tuple[str, ...], List[Any]] = {}
     order: List[Tuple[str, ...]] = []
     skipped: List[str] = []
@@ -364,6 +392,7 @@ __all__ = [
     "METRICS",
     "ResolvedPoint",
     "command_counts",
+    "derive_labels",
     "plan_spec",
     "run_spec",
 ]

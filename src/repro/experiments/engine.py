@@ -124,10 +124,14 @@ class Job:
     @cached_property
     def spec(self) -> Dict:
         """The JSON-able cache key (identity) of this job."""
+        config = dataclasses.asdict(self.config)
+        # The key keeps the always-zero ``act_extra`` the timing set
+        # once had, so every job keeps its historical identity.
+        config["timing"]["act_extra"] = 0
         spec = {
             "profiles": [dataclasses.asdict(p) for p in self.profiles],
             "scheme": self.scheme.payload(),
-            "config": dataclasses.asdict(self.config),
+            "config": config,
         }
         # Only fault-injection jobs carry the key, so every job written
         # before the field existed keeps its historical cache identity.

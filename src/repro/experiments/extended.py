@@ -78,7 +78,8 @@ def spec(fidelity: str = "smoke",
                         scheme=scheme, sim=sim, params=params)
               for label, scheme in rows.items()
               for metric, key, params in _COLUMNS]
-    return ExperimentSpec("extended", fidelity, points, meta={"hcnt": hcnt})
+    return ExperimentSpec("extended", fidelity, points,
+                          labels={"hcnt": "scheme.hcnt"})
 
 
 def run(fidelity: str = "smoke", engine: Optional[Engine] = None,

@@ -48,7 +48,8 @@ def spec(fidelity: str = "smoke", hcnt: int = FIXED_HCNT) -> ExperimentSpec:
                     ("series", f"{mix}/{name}", str(radius)),
                     workload=workload, scheme=scheme, sim=sim))
     return ExperimentSpec("fig10", fidelity, points,
-                          meta={"hcnt": hcnt, "radii": list(radii)})
+                          labels={"hcnt": "scheme.hcnt",
+                                  "radii": ["scheme.radius"]})
 
 
 def run(fidelity: str = "smoke", hcnt: int = FIXED_HCNT,

@@ -47,7 +47,7 @@ def spec(fidelity: str = "smoke") -> ExperimentSpec:
                         ("series", f"{mix}/{name}", str(hcnt)),
                         workload=workload, scheme=scheme, sim=sim))
     return ExperimentSpec("fig11", fidelity, points,
-                          meta={"hcnt_sweep": list(sweep)})
+                          labels={"hcnt_sweep": ["scheme.hcnt"]})
 
 
 def run(fidelity: str = "smoke",

@@ -68,7 +68,8 @@ def spec(fidelity: str = "smoke",
                 ("relative_performance", name, mix),
                 workload=workload_spec(mix, threads=fc.threads),
                 scheme=scheme, sim=mt_sim))
-    return ExperimentSpec("fig8", fidelity, points, meta={"hcnt": hcnt})
+    return ExperimentSpec("fig8", fidelity, points,
+                          labels={"hcnt": "scheme.hcnt"})
 
 
 def run(fidelity: str = "smoke", hcnt: int = DEFAULT_HCNT,

@@ -74,11 +74,11 @@ def spec(fidelity: str = "smoke", hcnt: Optional[int] = None,
          seed: int = 1, schemes: Optional[Sequence[str]] = None,
          attacks: Optional[Sequence[str]] = None) -> ExperimentSpec:
     """The grid as data: one ``faults`` point per (scheme, attack) cell,
-    all sharing trace and seed."""
+    all sharing trace and seed, the attacks in sorted order."""
     hcnt = hcnt if hcnt is not None else _FIDELITY_HCNT[fidelity]
     schemes = list(schemes) if schemes else redteam_schemes(fidelity)
-    attacks = tuple(attacks) if attacks \
-        else (SMOKE_ATTACKS if fidelity == "smoke" else FULL_ATTACKS)
+    attacks = sorted(set(attacks or (
+        SMOKE_ATTACKS if fidelity == "smoke" else FULL_ATTACKS)))
     points = []
     for name in schemes:
         scheme = scheme_spec(
@@ -102,9 +102,10 @@ def spec(fidelity: str = "smoke", hcnt: Optional[int] = None,
                 params={"hcnt": hcnt, "policy": "retire", "seed": seed,
                         "refresh_hammers_neighbors":
                             attack == "half-double"}))
-    return ExperimentSpec("redteam", fidelity, points, meta={
-        "hcnt": hcnt, "policy": "retire", "seed": seed,
-        "victim_row": VICTIM_ROW, "attacks": sorted(set(attacks))})
+    return ExperimentSpec("redteam", fidelity, points, labels={
+        "hcnt": "params.hcnt", "policy": "params.policy",
+        "seed": "params.seed", "victim_row": "workload.victim_row",
+        "attacks": ["workload.attack"]})
 
 
 def run(fidelity: str = "smoke", engine: Optional[Engine] = None,

@@ -65,8 +65,17 @@ class SpecBase:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SpecBase":
-        """Rebuild from :meth:`to_dict` output (missing fields default)."""
-        raise NotImplementedError
+        """Rebuild from :meth:`to_dict` output (missing fields default).
+
+        A key that is not a field is refused by name: dropped, a
+        misspelt or outdated key would run its field at the default.
+        Specs with nested specs rebuild those, then call this.
+        """
+        unknown = sorted(set(payload) - {f.name for f in
+                                         dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
+        return cls(**payload)
 
     def canonical_json(self) -> str:
         """Key-order-independent JSON encoding of :meth:`to_dict`."""

@@ -12,8 +12,8 @@ execute:
   (timing + requests + seed + ...), buildable into a
   :class:`~repro.sim.system.SystemConfig`;
 * :class:`ExperimentSpec` -- a whole figure/table: a grid of
-  :class:`PointSpec` entries plus grouping/reporting hints, executed by
-  the generic driver (:mod:`repro.experiments.driver`).
+  :class:`PointSpec` entries plus the paths its result labels are read
+  from, executed by the generic driver (:mod:`repro.experiments.driver`).
 
 All of them round-trip through plain dicts (``from_dict(to_dict(s)) ==
 s``), so an experiment -- and every job it expands into -- is a JSON
@@ -65,10 +65,6 @@ class SchemeSpec(SpecBase):
     #: ``to_dict`` -- the engine's job specs are keyed on this shape).
     payload = to_dict
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "SchemeSpec":
-        return cls(payload["kind"], freeze_params(payload.get("params", {})))
-
 
 def scheme_spec(kind: str, **params: Any) -> SchemeSpec:
     """Convenience constructor with keyword parameters."""
@@ -92,10 +88,6 @@ class WorkloadSpec(SpecBase):
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, "params": thaw_params(self.params)}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "WorkloadSpec":
-        return cls(payload["kind"], freeze_params(payload.get("params", {})))
 
 
 def workload_spec(kind: str, **params: Any) -> WorkloadSpec:
@@ -124,11 +116,6 @@ class TimingSpec(SpecBase):
 
     def to_dict(self) -> Dict[str, Any]:
         return {"grade": self.grade, "overrides": thaw_params(self.overrides)}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "TimingSpec":
-        return cls(payload.get("grade", "DDR4-2666"),
-                   freeze_params(payload.get("overrides", {})))
 
 
 @dataclass(frozen=True)
@@ -169,18 +156,8 @@ class SimSpec(SpecBase):
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SimSpec":
-        # A key this spec does not carry (say ``mlp`` from an older
-        # JSON) would otherwise be dropped and the run made at the
-        # default: refuse it by name instead.
-        unknown = sorted(set(payload) - {"timing", "requests", "seed"})
-        if unknown:
-            raise ValueError(f"unknown SimSpec keys: {unknown}")
-        defaults = cls()
-        return cls(
-            timing=TimingSpec.from_dict(payload.get("timing", {})),
-            requests=payload.get("requests", defaults.requests),
-            seed=payload.get("seed", defaults.seed),
-        )
+        return super().from_dict(dict(
+            payload, timing=TimingSpec.from_dict(payload.get("timing", {}))))
 
 
 @dataclass(frozen=True)
@@ -233,18 +210,6 @@ class FaultSpec(SpecBase):
             "refresh_hammers_neighbors": self.refresh_hammers_neighbors,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "FaultSpec":
-        defaults = cls()
-        return cls(**{
-            name: payload.get(name, getattr(defaults, name))
-            for name in (
-                "hcnt", "blast_radius", "policy", "seed", "data_bits",
-                "check_bits", "codewords_per_row", "max_retries",
-                "scrub_on_refresh", "refresh_hammers_neighbors",
-            )
-        })
-
 
 def fault_spec(**params: Any) -> FaultSpec:
     """Convenience constructor mirroring :func:`scheme_spec`."""
@@ -289,54 +254,46 @@ class PointSpec(SpecBase):
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "PointSpec":
-        def load(key, spec_cls):
-            value = payload.get(key)
-            return spec_cls.from_dict(value) if value is not None else None
-        return cls(
-            metric=payload["metric"],
-            group=tuple(payload.get("group", ())),
-            workload=load("workload", WorkloadSpec),
-            scheme=load("scheme", SchemeSpec),
-            sim=load("sim", SimSpec),
-            params=freeze_params(payload.get("params", {})),
-        )
+        specs = {key: spec_cls.from_dict(payload[key])
+                 for key, spec_cls in (("workload", WorkloadSpec),
+                                       ("scheme", SchemeSpec),
+                                       ("sim", SimSpec))
+                 if payload.get(key) is not None}
+        return super().from_dict(dict(payload, **specs))
 
 
 @dataclass(frozen=True)
 class ExperimentSpec(SpecBase):
-    """A whole figure/table as data: a grid of points + report hints.
+    """A whole figure/table as data: a grid of points + result labels.
 
-    ``meta`` is static metadata merged verbatim into the result dict
-    (``hcnt``, sweep lists, ...).  The generic driver interprets the
-    spec; nothing about *how* to run it lives here.
+    ``labels`` maps a result key to the point field it reports, written
+    ``"scheme.<key>"``, ``"workload.<key>"`` or ``"params.<key>"``: a
+    plain path is a scalar label, a one-element list a swept one.  The
+    generic driver interprets the spec; nothing about *how* to run it
+    lives here.
     """
 
     name: str
     fidelity: str = "smoke"
     points: Tuple[PointSpec, ...] = ()
-    meta: Params = ()
+    labels: Params = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "meta", freeze_params(self.meta))
+        object.__setattr__(self, "labels", freeze_params(self.labels))
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
             "fidelity": self.fidelity,
             "points": [p.to_dict() for p in self.points],
-            "meta": thaw_params(self.meta),
+            "labels": thaw_params(self.labels),
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ExperimentSpec":
-        return cls(
-            name=payload["name"],
-            fidelity=payload.get("fidelity", "smoke"),
-            points=tuple(PointSpec.from_dict(p)
-                         for p in payload.get("points", ())),
-            meta=freeze_params(payload.get("meta", {})),
-        )
+        points = [PointSpec.from_dict(p) for p in payload.get("points", ())]
+        return super().from_dict(dict(payload, points=points))
 
 
 __all__ = [

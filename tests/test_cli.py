@@ -278,6 +278,38 @@ class TestExperimentCommand:
         assert saved.read_bytes() == (REPO / "results"
                                       / "redteam_smoke.json").read_bytes()
 
+    def test_edited_redteam_spec_saves_the_labels_it_ran(
+            self, tmp_path, monkeypatch, capsys):
+        # The labels are read from the points: a dumped spec whose point
+        # params were edited saves the edited values, not the dump's.
+        assert main(["experiment", "redteam", "smoke", "--dump-spec"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for point in payload["points"]:
+            point["params"].update(hcnt=512, policy="panic")
+        path = tmp_path / "redteam.json"
+        path.write_text(json.dumps(payload))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--spec", str(path), "--no-cache"]) == 0
+        with open(tmp_path / "results" / "redteam_smoke.json") as handle:
+            saved = json.load(handle)
+        assert (saved["hcnt"], saved["policy"]) == (512, "panic")
+        assert saved["schemes"]["none"]["double-sided"]["panics"] >= 1
+
+    def test_disagreeing_scalar_label_raises_before_any_job(self):
+        from repro.experiments import redteam
+        from repro.experiments.driver import run_spec
+
+        class NoJobs:
+            def run(self, jobs):
+                raise AssertionError("a job ran")
+
+        spec = redteam.spec("smoke")
+        first = spec.points[0]
+        edited = first.replace(params=dict(first.params, hcnt=512))
+        spec = spec.replace(points=(edited,) + spec.points[1:])
+        with pytest.raises(ValueError, match=r"'hcnt'.*\[512, 1024\]"):
+            run_spec(spec, engine=NoJobs())
+
     def test_run_spec_keep_going_failure_exits_nonzero(
             self, tmp_path, monkeypatch, capsys):
         from repro.spec import (

@@ -1,8 +1,11 @@
 """Timing parameter sets and conversions."""
 
+import dataclasses
+
 import pytest
 
 from repro.dram.timing import DDR4_2666, DDR5_4800, TimingParams, ns_to_cycles
+from repro.spec import TimingSpec
 
 
 def test_ns_to_cycles_rounds_up():
@@ -46,14 +49,6 @@ def test_refreshes_per_window():
     assert 8000 <= t.refreshes_per_window <= 8400
 
 
-def test_with_act_extra():
-    t = DDR4_2666.with_act_extra(6)
-    assert t.tRCD_effective == 25
-    assert DDR4_2666.tRCD_effective == 19  # original untouched
-    with pytest.raises(ValueError):
-        DDR4_2666.with_act_extra(-1)
-
-
 def test_with_trcd_and_trefi():
     t = DDR4_2666.with_trcd(23)
     assert t.tRCD == 23
@@ -64,7 +59,7 @@ def test_with_trcd_and_trefi():
 
 def test_validation():
     with pytest.raises(ValueError):
-        DDR4_2666.with_raaimt(0)
+        dataclasses.replace(DDR4_2666, raaimt=0)
     with pytest.raises(ValueError):
         TimingParams(
             name="bad", tck_ns=1.0, tCL=10, tRCD=10, tRP=10, tRAS=20,
@@ -77,3 +72,11 @@ def test_validation():
 def test_cycles_roundtrip():
     t = DDR5_4800
     assert t.cycles(t.nanoseconds(123)) == 123
+
+
+def test_act_extra_override_is_refused():
+    # tRCD' (tRCD plus the remapping-row read) reaches the controller
+    # only through the mitigation's act_extra_cycles; a timing override
+    # that claimed to set it would change nothing the simulator runs.
+    with pytest.raises(TypeError, match="act_extra"):
+        TimingSpec("DDR4-2666", {"act_extra": 6}).build()

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.experiments.driver import plan_spec
+from repro.experiments.driver import derive_labels, plan_spec
 from repro.experiments.engine import Engine
 from repro.experiments.redteam import (
     FULL_ATTACKS,
@@ -31,7 +31,7 @@ class TestGrid:
         assert grid.name == "redteam"
         assert {point.metric for point in grid.points} == {"faults"}
         assert all(point.group[0] == "schemes" for point in grid.points)
-        assert grid.to_dict()["meta"]["attacks"] == sorted(FULL_ATTACKS)
+        assert derive_labels(grid)["attacks"] == sorted(FULL_ATTACKS)
 
     def test_unknown_fault_param_is_an_error(self):
         payload = spec("smoke").to_dict()

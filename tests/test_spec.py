@@ -21,6 +21,7 @@ from repro.experiments.configs import fidelity_config
 from repro.sim.system import SystemConfig
 from repro.spec import (
     ExperimentSpec,
+    FaultSpec,
     PointSpec,
     SchemeSpec,
     SimSpec,
@@ -81,7 +82,10 @@ experiment_specs = st.builds(
     name=KEYS,
     fidelity=st.sampled_from(["smoke", "full"]),
     points=st.lists(point_specs, max_size=4).map(tuple),
-    meta=PARAM_BAGS,
+    labels=st.dictionaries(
+        KEYS, st.sampled_from(["scheme.hcnt", "workload.app",
+                               "params.seed", ["scheme.radius"]]),
+        max_size=3),
 )
 
 
@@ -222,6 +226,46 @@ class TestBuild:
         payload.update(mlp=1, max_cycles=10)
         with pytest.raises(ValueError, match=r"\['max_cycles', 'mlp'\]"):
             SimSpec.from_dict(payload)
+
+
+def _renamed(payload, key, spelt):
+    """A copy of ``payload`` with ``key`` misspelt as ``spelt``."""
+    payload = dict(payload)
+    payload[spelt] = payload.pop(key)
+    return payload
+
+
+def _redteam_dump():
+    from repro.experiments import redteam
+    return json.loads(json.dumps(redteam.spec("smoke").to_dict()))
+
+
+#: (spec class, payload, the key it must refuse by name); SimSpec's
+#: case is ``TestBuild.test_sim_spec_rejects_unknown_keys``.
+UNKNOWN_KEYS = [
+    # A misspelt ``points`` would load as an empty grid and save a
+    # result with no cells over the committed one.
+    (ExperimentSpec, _renamed(_redteam_dump(), "points", "point"), "point"),
+    # A dump from before labels replaced meta.
+    (ExperimentSpec, _renamed(_redteam_dump(), "labels", "meta"), "meta"),
+    # A misspelt ``scheme`` would run the point with no mitigation.
+    (PointSpec, _renamed(_redteam_dump()["points"][0], "scheme", "schem"),
+     "schem"),
+    (SchemeSpec, {"kind": "shadow", "param": {"hcnt": 512}}, "param"),
+    (WorkloadSpec, {"kind": "mix-high", "threads": 2}, "threads"),
+    (TimingSpec, {"grade": "DDR4-2666", "override": {"tRCD": 23}},
+     "override"),
+    (FaultSpec, {"hcnt": 512, "polcy": "panic"}, "polcy"),
+]
+
+
+@pytest.mark.parametrize("cls,payload,key", UNKNOWN_KEYS,
+                         ids=[f"{c.__name__}-{k}"
+                              for c, _, k in UNKNOWN_KEYS])
+def test_from_dict_refuses_unknown_keys(cls, payload, key):
+    with pytest.raises(ValueError,
+                       match=rf"unknown {cls.__name__} keys: \['{key}'\]"):
+        cls.from_dict(payload)
 
 
 class TestShadowTrcdSeed:
