@@ -8,7 +8,10 @@ from typing import Optional
 
 from repro.controller.address import MemoryLocation
 
-_ids = itertools.count()
+#: The next request id: unique and increasing in creation order.  A
+#: builtin, so neither the default below nor a caller that passes it
+#: (``ThreadState.issue``) makes a Python-level call per request.
+next_request_id = itertools.count().__next__
 
 
 @dataclass(slots=True)
@@ -25,7 +28,7 @@ class MemoryRequest:
     is_write: bool
     thread_id: int
     arrival: int
-    request_id: int = field(default_factory=lambda: next(_ids))
+    request_id: int = field(default_factory=next_request_id)
     issued: Optional[int] = None
     completed: Optional[int] = None
     #: Cached PA-to-DA translation, set at enqueue; the controller

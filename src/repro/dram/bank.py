@@ -72,7 +72,9 @@ class Bank:
     def __post_init__(self) -> None:
         t = self.timing
         self._t = t
-        # Composite delays used on every column command, summed once.
+        # Composite delays used on every ACT or column command, summed
+        # once (``tRC`` is a TimingParams property, not a field).
+        self._tRC = t.tRC
         self._rd_done = t.tCL + t.tBL
         self._wr_done = t.tCWL + t.tBL
         self._wr_to_rd = t.tCWL + t.tBL + t.tWTR_L
@@ -123,7 +125,7 @@ class Bank:
         self.next_rd = cycle + t.tRCD + extra_latency
         self.next_wr = cycle + t.tRCD + extra_latency
         self.next_pre = cycle + t.tRAS + extra_latency
-        self.next_act = cycle + t.tRC + extra_latency
+        self.next_act = cycle + self._tRC + extra_latency
         self.stats.acts += 1
         self.stats.extra_act_cycles += extra_latency
 

@@ -254,7 +254,8 @@ def _execute(job: Job) -> Dict:
 
     Runs with the metric registry on (no tracing, no sampling) so every
     cached result carries its observability summary; the registry costs
-    one attribute add per counted event and never perturbs timing.
+    a few field updates per counted event (no Python-level call on the
+    per-command path) and never perturbs timing.
     """
     from repro.obs import Observability
     _maybe_inject_fault(job)

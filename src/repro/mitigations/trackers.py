@@ -278,19 +278,26 @@ class CountMinSketch:
         self.width = width
         self.depth = depth
         self.rows: List[List[int]] = [[0] * width for _ in range(depth)]
-
-    def _index(self, row: int, key: int) -> int:
-        h = (key * self._PRIMES[row] + row) & 0xFFFFFFFF
-        h ^= h >> 15
-        return h % self.width
+        #: ``(row index, prime, counters)`` per hash row.  ``add`` and
+        #: ``estimate`` hash inline from it: BlockHammer probes the
+        #: sketch on every scan of a closed bank.
+        self._lanes = tuple(zip(range(depth), self._PRIMES, self.rows))
 
     def add(self, key: int, amount: int = 1) -> None:
-        for r in range(self.depth):
-            self.rows[r][self._index(r, key)] += amount
+        width = self.width
+        for r, prime, counters in self._lanes:
+            h = (key * prime + r) & 0xFFFFFFFF
+            counters[(h ^ (h >> 15)) % width] += amount
 
     def estimate(self, key: int) -> int:
-        return min(self.rows[r][self._index(r, key)]
-                   for r in range(self.depth))
+        width = self.width
+        least = None
+        for r, prime, counters in self._lanes:
+            h = (key * prime + r) & 0xFFFFFFFF
+            count = counters[(h ^ (h >> 15)) % width]
+            if least is None or count < least:
+                least = count
+        return least
 
     def clear(self) -> None:
         for row in self.rows:

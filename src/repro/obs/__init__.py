@@ -12,7 +12,10 @@ Cost contract (the reason this package exists as a separate layer):
   check; no metric objects are touched, no events are built.  The
   bench-smoke regression gate pins this path.
 * **metrics on** -- counter updates are one attribute add on a held
-  handle; registry lookups are ~one dict access.
+  handle; registry lookups are ~one dict access.  Every engine worker
+  runs this way, so the per-command site (the request-latency
+  histogram, one update per column command) bumps the handle's fields
+  inline and makes no Python-level call.
 * **tracing on** -- each command/mitigation event builds one small dict
   and hands it to the sink; sinks never block the simulation (JSONL
   streams, Chrome buffers until :meth:`Observability.close`).

@@ -5,13 +5,17 @@ Two cost regimes, by construction:
 * **enabled** -- a metric handle is a tiny ``__slots__`` object; updating
   it is one attribute add, and looking one up in a
   :class:`MetricRegistry` is ~one dict access (instrument once, hold the
-  handle, update forever);
+  handle, update forever).  A site that updates once per simulated DRAM
+  command writes the handle's fields inline rather than calling a
+  method: the controller files each column command's latency into
+  ``request.latency_cycles`` through :data:`bucket_of`, with no Python
+  call;
 * **disabled** -- there are no metric objects at all: every
   instrumentation site gates on a single pre-hoisted ``is None``/bool
   check, so a run without an :class:`~repro.obs.Observability` hub
   executes *zero* metric code.
 
-Histograms are log-scale (power-of-two buckets via ``int.bit_length``):
+Histograms are log-scale (power-of-two buckets via :data:`bucket_of`):
 request latencies and queue depths span orders of magnitude, and a
 constant-size bucket table keeps ``observe`` allocation-free.
 """
@@ -21,6 +25,13 @@ from __future__ import annotations
 from typing import Dict, Union
 
 Number = Union[int, float]
+
+#: The histogram bucket rule, stated once: an int's bucket is its bit
+#: length, so bucket ``b`` holds ``[2**(b-1), 2**b - 1]`` and bucket 0
+#: holds exactly 0.  ``int.bit_length`` ignores the sign, so a negative
+#: value is filed in the bucket of its magnitude.  A builtin, so an
+#: inlined update site pays no Python-level call for it.
+bucket_of = int.bit_length
 
 
 class Counter:
@@ -58,11 +69,11 @@ class Gauge:
 class Histogram:
     """Log-scale (power-of-two bucket) histogram of non-negative values.
 
-    Bucket ``b`` holds values whose ``bit_length`` is ``b``, i.e. the
+    Bucket ``b`` holds values whose :data:`bucket_of` is ``b``, i.e. the
     range ``[2**(b-1), 2**b - 1]`` (bucket 0 holds exactly 0).
     """
 
-    __slots__ = ("name", "_buckets", "count", "total", "max")
+    __slots__ = ("name", "buckets", "count", "total", "max")
 
     #: Initial bucket-table size; covers values up to 2**67 - 1 without
     #: ever growing (``observe`` extends it on demand beyond that).
@@ -70,18 +81,18 @@ class Histogram:
 
     def __init__(self, name: str):
         self.name = name
-        self._buckets = [0] * self._INITIAL_BUCKETS
+        self.buckets = [0] * self._INITIAL_BUCKETS
         self.count = 0
         self.total = 0
         self.max = 0
 
     def observe(self, value: int) -> None:
-        b = int(value).bit_length()
+        b = bucket_of(int(value))
         try:
-            self._buckets[b] += 1
+            self.buckets[b] += 1
         except IndexError:
-            self._buckets.extend([0] * (b + 1 - len(self._buckets)))
-            self._buckets[b] += 1
+            self.buckets.extend([0] * (b + 1 - len(self.buckets)))
+            self.buckets[b] += 1
         self.count += 1
         self.total += value
         if value > self.max:
@@ -102,7 +113,7 @@ class Histogram:
             "mean": (self.total / self.count) if self.count else 0.0,
             "buckets": {
                 f"{self.bucket_bounds(b)[0]}..{self.bucket_bounds(b)[1]}":
-                    n for b, n in enumerate(self._buckets) if n
+                    n for b, n in enumerate(self.buckets) if n
             },
         }
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.controller.address import MemoryLocation
-from repro.controller.request import MemoryRequest
+from repro.controller.request import MemoryRequest, next_request_id
 
 
 class ThreadState:
@@ -45,27 +45,17 @@ class ThreadState:
             raise ValueError("ops must cover the full request budget")
         self.thread_id = thread_id
         self._ops = ops
-        self._pos = 0
         self.budget = request_budget
         self.issued = 0
         self.completed_reads = 0
         self.mlp = mlp
         self.outstanding = 0
-        self.next_ready: int = 0        # cycle the next request may issue
         self.finish_cycle: Optional[int] = None
-        self._pending: Optional[Tuple[int, MemoryLocation, bool]] = None
-        self._load_next(0)
-
-    # -- trace plumbing -----------------------------------------------------------
-
-    def _load_next(self, after_cycle: int) -> None:
-        if self.issued >= self.budget:
-            self._pending = None
-            return
-        pending = self._ops[self._pos]
-        self._pos += 1
-        self._pending = pending
-        self.next_ready = after_cycle + pending[0]
+        # The budget is positive, so the first op is pending from the
+        # start; ``issue`` loads each next one.
+        self._pending: Optional[Tuple[int, MemoryLocation, bool]] = ops[0]
+        self._pos = 1
+        self.next_ready: int = ops[0][0]  # cycle the next request may issue
 
     # -- scheduling interface ---------------------------------------------------------
 
@@ -98,14 +88,21 @@ class ThreadState:
                 not (pending[2] or self.outstanding < self.mlp):
             raise RuntimeError("thread cannot issue at this cycle")
         _gap, location, is_write = pending
-        request = MemoryRequest(location=location, is_write=is_write,
-                                thread_id=self.thread_id, arrival=cycle)
+        request = MemoryRequest(location, is_write, self.thread_id, cycle,
+                                next_request_id())
         self.issued += 1
         if not is_write:
             self.outstanding += 1
-        self._load_next(cycle)
-        if self._pending is None and self.outstanding == 0:
-            self.finish_cycle = cycle
+        # Load the next op: it becomes ready its gap after this issue.
+        if self.issued < self.budget:
+            pending = self._ops[self._pos]
+            self._pos += 1
+            self._pending = pending
+            self.next_ready = cycle + pending[0]
+        else:
+            self._pending = None
+            if self.outstanding == 0:
+                self.finish_cycle = cycle
         return request
 
     def on_completion(self, request: MemoryRequest, cycle: int) -> None:

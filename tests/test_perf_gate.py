@@ -140,10 +140,12 @@ class TestMain:
         base_dir = (tmp_path / "base").resolve()
         base_dir.mkdir()
         calls = []
+        seeds = set()
 
-        def fake_run(checkout, workload):
+        def fake_run(checkout, workload, seed):
             side = "base" if checkout == base_dir else "change"
             calls.append((workload, side))
+            seeds.add(seed)
             slow = side == "change" and workload == "sparse-refresh"
             return gate.parse_output(output(wall_s=11.0 if slow else 10.0))
 
@@ -152,6 +154,7 @@ class TestMain:
         rc = gate.main(["--base-dir", str(base_dir), "--pairs", "3",
                         "--out", str(out)])
         assert rc == 0
+        assert seeds == {gate.DEFAULT_SEED} == {3}
         fig8 = [side for workload, side in calls if workload == "fig8-sweep"]
         assert fig8 == ["base", "change", "change", "base", "base",
                         "change"]
@@ -161,13 +164,20 @@ class TestMain:
         sparse = record["workloads"]["sparse-refresh"]["metrics"]["wall_s"]
         assert sparse["delta"] == pytest.approx(0.1)
         assert sparse["bound"] == BOUNDS["wall_s"][1]
+        assert record["seed"] == 3
+        # ``--seed`` reaches every run and the record.
+        seeds.clear()
+        assert gate.main(["--base-dir", str(base_dir), "--pairs", "1",
+                          "--seed", "11", "--out", str(out)]) == 0
+        assert seeds == {11}
+        assert json.loads(out.read_text())["seed"] == 11
 
     def test_a_regression_exits_nonzero(self, tmp_path, monkeypatch):
         # One slow workload fails the whole gate.
         base_dir = tmp_path.resolve()
         monkeypatch.setattr(
             gate, "run_perfbench",
-            lambda checkout, workload: gate.parse_output(output(
+            lambda checkout, workload, seed: gate.parse_output(output(
                 wall_s=13.0 if checkout != base_dir
                 and workload == "redteam-zoo" else 10.0)))
         out = tmp_path / "gate.json"
@@ -193,7 +203,7 @@ class TestMain:
                               capture_output=True, text=True,
                               check=True).stdout.strip()
         monkeypatch.setattr(gate, "run_perfbench",
-                            lambda checkout, workload:
+                            lambda checkout, workload, seed:
                             gate.parse_output(output()))
         out = tmp_path / "gate.json"
         for base_dir, want in ((repo, head), (plain, str(plain))):

@@ -7,10 +7,13 @@ in.  The base revision is checked out into a temporary ``git worktree``
 (or given as an existing checkout with ``--base-dir``).  For every
 workload in ``BENCHMARK.json`` the script runs
 
-    python3 perfbench/run.py --workload W --seed 3 --seconds 1 --trace 0
+    python3 perfbench/run.py --workload W --seed N --seconds 1 --trace 0
 
 in both checkouts, ``--pairs`` times each, alternating which side runs
-first.  The change fails when, on any workload:
+first.  ``--seed`` picks N (default 3, the seed the committed
+``results/fig8_smoke.json`` and the digest pins were made with).  A
+speed claim also needs a run at a seed that was not used while writing
+the change.  The change fails when, on any workload:
 
 * its median of an ``end_to_end`` metric is worse than the base's median
   by more than that metric's ``bound`` (both read from ``BENCHMARK.json``);
@@ -18,8 +21,8 @@ first.  The change fails when, on any workload:
 * its share of failed operations is larger than the base's.
 
 The JSON record (``--out``) names the base by its commit (a
-``--base-dir`` that is not the top of a git work tree by its path) and
-holds, per workload, both sides' medians and
+``--base-dir`` that is not the top of a git work tree by its path),
+gives the seed, and holds, per workload, both sides' medians and
 IQRs, the change's delta, bound and pair wins for every metric, both
 sides' correctness, failed share and outcome digests, and the failures.
 Exit code 0 when the change passes, 1 when it fails.
@@ -42,7 +45,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = "perf-gate/1"
-SEED = 3
+DEFAULT_SEED = 3
 
 #: ``{metric: (better, bound)}``, ``better`` being "lower" or "higher".
 Bounds = Dict[str, Tuple[str, float]]
@@ -75,11 +78,11 @@ def parse_output(text: str) -> Optional[Dict]:
     return dict(record, digest=digest)
 
 
-def run_perfbench(checkout: Path, workload: str) -> Optional[Dict]:
-    """One perfbench run of ``workload`` in ``checkout``."""
+def run_perfbench(checkout: Path, workload: str, seed: int) -> Optional[Dict]:
+    """One perfbench run of ``workload`` at ``seed`` in ``checkout``."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"),
-         "--workload", workload, "--seed", str(SEED), "--seconds", "1",
+         "--workload", workload, "--seed", str(seed), "--seconds", "1",
          "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -199,6 +202,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="an existing checkout of the base instead")
     parser.add_argument("--pairs", type=int, default=5,
                         help="base/change pairs per workload (default: 5)")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help="perfbench seed of every run "
+                             f"(default: {DEFAULT_SEED})")
     parser.add_argument("--out", default="perf-gate.json", metavar="PATH",
                         help="JSON record (default: perf-gate.json)")
     args = parser.parse_args(argv)
@@ -211,7 +217,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "base": (_git_rev(ROOT, args.base) if args.base
                  else base_dir_label(args.base_dir)),
         "change": _git_rev(ROOT),
-        "seed": SEED,
+        "seed": args.seed,
         "host": {"python": platform.python_version(),
                  "platform": platform.platform(), "cpus": os.cpu_count()},
         "workloads": {},
@@ -223,7 +229,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             for i in range(args.pairs):
                 runs = {}
                 for side, checkout in sides if i % 2 == 0 else sides[::-1]:
-                    run = runs[side] = run_perfbench(checkout, workload)
+                    run = runs[side] = run_perfbench(checkout, workload,
+                                                     args.seed)
                     status = ("did not finish" if run is None else
                               f"wall_s={run['metrics']['wall_s']['value']:.3f}")
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
