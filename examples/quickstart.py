@@ -26,7 +26,7 @@ def main() -> None:
           f" ({base.stats.acts} activations, {base.refreshes} refreshes)")
 
     print("\n== SHADOW (RAAIMT=64, the secure config for Hcnt=4K) ==")
-    shadow = Shadow(ShadowConfig(raaimt=64, rng_kind="prince", rng_seed=7))
+    shadow = Shadow(ShadowConfig(raaimt=64, rng_seed=7))
     protected = System(workload, shadow, config=config).run()
     slowdown = protected.cycles / base.cycles - 1.0
     print(f"  {protected.requests_issued} requests in {protected.cycles} "

@@ -79,8 +79,7 @@ def main() -> None:
 
     print("\n== SHADOW (RAAIMT=32) ==")
     for name, pattern in patterns.items():
-        shadow = Shadow(ShadowConfig(raaimt=32, rng_kind="prince",
-                                     rng_seed=3))
+        shadow = Shadow(ShadowConfig(raaimt=32, rng_seed=3))
         report(name, hammer(pattern, shadow))
         print(f"      ({shadow.total_shuffles()} shuffles relocated the "
               f"aggressors mid-attack)")

@@ -6,11 +6,12 @@ shuffling rows inside each subarray upon every JEDEC RFM command.
 
 The package is organised bottom-up:
 
-* :mod:`repro.utils` -- PRINCE CSPRNG, LFSR, bit helpers.
+* :mod:`repro.utils` -- RNG sources (seeded system RNG, LFSR), result
+  cache, logging.
 * :mod:`repro.dram` -- DRAM device substrate (subarray/bank/rank/channel
   timing state machines, JEDEC parameter sets).
-* :mod:`repro.controller` -- memory controller (address mapping, FR-FCFS
-  scheduling, RAA counters and the RFM interface).
+* :mod:`repro.controller` -- memory controller (FR-FCFS scheduling, RAA
+  counters and the RFM interface).
 * :mod:`repro.rowhammer` -- disturbance fault model and attack library.
 * :mod:`repro.mitigations` -- baselines (PARFM, Mithril, BlockHammer, RRS,
   Graphene, DRR, ...).

@@ -1,28 +1,21 @@
-"""Physical-address to DRAM-coordinate mapping.
+"""DRAM coordinates of a memory request.
 
-The MC splits the physical address into a (channel, rank, bank, row,
-column) tuple (paper Section II-B).  The default bit order interleaves
-channels and banks below the row bits -- the standard layout that spreads
-a streaming access pattern across banks for parallelism:
+The MC splits a physical address into a (channel, rank, bank, row,
+column) tuple (paper Section II-B).  The workload generators emit these
+coordinates directly, so the simulator never holds a physical address:
+a :class:`MemoryLocation` is what a request carries from the core to
+the controller.
 
-    |  row  |  rank  |  bank  |  column  |  channel  |  line offset |
-      high                                                      low
-
-An optional XOR fold of row bits into the bank index models the
-bank-hashing many controllers apply.  The mapping is bijective and
-exactly invertible, which the tests verify property-style.
-
-Note the distinction the paper leans on: this PA-side mapping is *static*
-and reverse-engineerable by an attacker (Section II-B); SHADOW's PA-to-DA
-remapping inside the device is what changes dynamically.
+Note the distinction the paper leans on: the PA-side split is *static*
+and reverse-engineerable by an attacker (Section II-B); SHADOW's
+PA-to-DA remapping inside the device is what changes dynamically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dram.device import BankAddress, DramGeometry
-from repro.utils.bits import bit_length_for
+from repro.dram.device import BankAddress
 
 
 @dataclass(frozen=True, order=True)
@@ -38,89 +31,3 @@ class MemoryLocation:
     @property
     def bank_address(self) -> BankAddress:
         return BankAddress(self.channel, self.rank, self.bank)
-
-
-class AddressMapping:
-    """Bijective PA <-> (channel, rank, bank, row, column) mapping."""
-
-    LINE_BYTES = 64
-
-    def __init__(self, geometry: DramGeometry, xor_bank_hash: bool = True):
-        self.geometry = geometry
-        self.xor_bank_hash = xor_bank_hash
-        self._col_bits = bit_length_for(geometry.columns_per_row)
-        self._ch_bits = bit_length_for(geometry.channels)
-        self._bank_bits = bit_length_for(geometry.banks_per_rank)
-        self._rank_bits = bit_length_for(geometry.ranks_per_channel)
-        self._row_bits = bit_length_for(geometry.rows_per_bank)
-        self._offset_bits = bit_length_for(self.LINE_BYTES)
-        for name, count in (
-            ("columns_per_row", geometry.columns_per_row),
-            ("channels", geometry.channels),
-            ("banks_per_rank", geometry.banks_per_rank),
-            ("ranks_per_channel", geometry.ranks_per_channel),
-            ("rows_per_bank", geometry.rows_per_bank),
-        ):
-            if count & (count - 1):
-                raise ValueError(
-                    f"{name} must be a power of two for bit-sliced mapping "
-                    f"(got {count})"
-                )
-
-    @property
-    def address_bits(self) -> int:
-        """Total physical-address bits covered by the mapping."""
-        return (self._offset_bits + self._col_bits + self._ch_bits
-                + self._bank_bits + self._rank_bits + self._row_bits)
-
-    @property
-    def capacity_bytes(self) -> int:
-        return 1 << self.address_bits
-
-    def _bank_hash(self, bank: int, row: int) -> int:
-        """XOR-fold the low row bits into the bank index (involutive)."""
-        if not self.xor_bank_hash or self._bank_bits == 0:
-            return bank
-        return bank ^ (row & ((1 << self._bank_bits) - 1))
-
-    def decode(self, physical_address: int) -> MemoryLocation:
-        """Split a byte-granular physical address into DRAM coordinates."""
-        if not 0 <= physical_address < self.capacity_bytes:
-            raise ValueError(
-                f"physical address {physical_address:#x} outside the "
-                f"{self.capacity_bytes:#x}-byte mapped range"
-            )
-        value = physical_address >> self._offset_bits
-        channel = value & ((1 << self._ch_bits) - 1)
-        value >>= self._ch_bits
-        column = value & ((1 << self._col_bits) - 1)
-        value >>= self._col_bits
-        bank = value & ((1 << self._bank_bits) - 1)
-        value >>= self._bank_bits
-        rank = value & ((1 << self._rank_bits) - 1)
-        value >>= self._rank_bits
-        row = value
-        bank = self._bank_hash(bank, row)
-        return MemoryLocation(channel, rank, bank, row, column)
-
-    def encode(self, location: MemoryLocation) -> int:
-        """Inverse of :meth:`decode` (returns a line-aligned address)."""
-        g = self.geometry
-        if not (0 <= location.channel < g.channels
-                and 0 <= location.rank < g.ranks_per_channel
-                and 0 <= location.bank < g.banks_per_rank
-                and 0 <= location.row < g.rows_per_bank
-                and 0 <= location.column < g.columns_per_row):
-            raise ValueError(f"location {location} outside geometry")
-        bank = self._bank_hash(location.bank, location.row)  # involutive
-        value = location.row
-        value = (value << self._rank_bits) | location.rank
-        value = (value << self._bank_bits) | bank
-        value = (value << self._col_bits) | location.column
-        value = (value << self._ch_bits) | location.channel
-        return value << self._offset_bits
-
-    def row_address(self, channel: int, rank: int, bank: int, row: int,
-                    column: int = 0) -> int:
-        """Convenience: encode a coordinate given as scalars."""
-        return self.encode(MemoryLocation(channel, rank, bank, row, column))

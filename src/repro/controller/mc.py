@@ -671,10 +671,10 @@ class MemoryController:
                 if e > bound:
                     pruned += 1
                     continue
-                # The rank spacing checks below are
-                # RankTiming.earliest_act / .earliest_column inlined --
-                # this loop runs once per active bank per scheduling
-                # decision.
+                # The rank's spacing rules, read from its fields: tCCD
+                # for a column command; tRRD and tFAW for an ACT, as
+                # RankTiming.record_act checks them.  This loop runs
+                # once per active bank per scheduling decision.
                 rank = ctx.rank
                 group = ctx.group
                 if op == _OP_COL:
@@ -917,8 +917,8 @@ class MemoryController:
         bank = ctx.bank
         chan = ctx.chan
         is_write = request.is_write
-        # ChannelTiming.record_command / record_data and
-        # RankTiming.record_column inlined (hot per-column path).
+        # ChannelTiming.record_command / record_data inlined, and the
+        # rank's tCCD check (hot per-column path).
         if cycle < chan._cmd_free_at or cycle < chan._blocked_until:
             raise RuntimeError(
                 "DRAM protocol violation: command bus busy at issue time")

@@ -24,14 +24,14 @@ class ShadowConfig:
     """Everything a SHADOW deployment chooses.
 
     ``raaimt`` is the RFM threshold (Table II's security analysis picks
-    it per ``H_cnt``); ``rng_kind`` selects the per-chip RNG unit
-    ("prince" CSPRNG by default, "lfsr" for the low-area option,
-    "system" for fast simulation); the three booleans expose the
-    microarchitecture ablations.
+    it per ``H_cnt``); ``rng_kind`` selects the RNG that draws the
+    shuffle's random rows: "system", the seeded generator every
+    simulation uses, or "lfsr", the paper's low-area option (Section
+    VIII); the three booleans expose the microarchitecture ablations.
     """
 
     raaimt: int = 64
-    rng_kind: str = "prince"
+    rng_kind: str = "system"
     rng_seed: int = 1
     pairing: bool = True
     isolation: bool = True
@@ -41,7 +41,7 @@ class ShadowConfig:
     def __post_init__(self) -> None:
         if self.raaimt <= 0:
             raise ValueError("raaimt must be positive")
-        if self.rng_kind not in ("prince", "lfsr", "system"):
+        if self.rng_kind not in ("system", "lfsr"):
             raise ValueError(f"unknown rng_kind {self.rng_kind!r}")
 
     @classmethod

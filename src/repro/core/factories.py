@@ -5,9 +5,11 @@ keyword parameters; the spec layer's scheme registry points here, so
 ``SchemeSpec("shadow", ...)`` -- from the CLI, the experiment driver or
 a rehydrated JSON job -- always builds through the same code path.
 
-Simulation runs use the fast seeded system RNG inside SHADOW; the
-PRINCE CSPRNG is exercised by the security analyses and its own tests
-(the choice is statistically irrelevant for performance).
+SHADOW draws its random rows from the seeded system RNG unless a
+factory's ``rng_kind`` asks for the paper's low-area LFSR (the
+ablation's ``LFSR RNG`` variant does).  The paper's PRINCE RNG unit
+appears only as a gate count in the area model
+(:mod:`repro.analysis.area`).
 """
 
 from __future__ import annotations

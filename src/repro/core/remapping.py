@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.utils.bits import bit_length_for
-
 
 class RemappingRow:
     """The PA->DA mapping of one subarray.
@@ -93,7 +91,7 @@ class RemappingRow:
 
     def storage_bits(self) -> int:
         """Bits the remapping row must store (paper: 513 x 9 + 9)."""
-        entry_bits = bit_length_for(self.slots)
+        entry_bits = (self.slots - 1).bit_length()
         return (self.rows + 1) * entry_bits + entry_bits
 
     def check_invariants(self) -> None:

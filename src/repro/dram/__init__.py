@@ -15,7 +15,7 @@ from repro.dram.commands import Command, CommandType
 from repro.dram.device import BankAddress, DramDevice, DramGeometry
 from repro.dram.refresh import RefreshTracker
 from repro.dram.sppr import SpprConfig, SpprState
-from repro.dram.subarray import Subarray, SubarrayLayout
+from repro.dram.subarray import SubarrayLayout
 from repro.dram.timing import (
     DDR4_2666,
     DDR5_4800,
@@ -34,7 +34,6 @@ __all__ = [
     "RefreshTracker",
     "SpprConfig",
     "SpprState",
-    "Subarray",
     "SubarrayLayout",
     "TimingParams",
     "ns_to_cycles",

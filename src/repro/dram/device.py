@@ -8,7 +8,7 @@ from typing import Dict, Iterator, List, NamedTuple
 from repro.dram.bank import Bank, BankStats
 from repro.dram.channel import ChannelTiming
 from repro.dram.rank import RankTiming
-from repro.dram.subarray import Subarray, SubarrayLayout
+from repro.dram.subarray import SubarrayLayout
 from repro.dram.timing import TimingParams
 
 
@@ -84,8 +84,8 @@ class DramGeometry:
 class DramDevice:
     """Runtime state of the whole memory system.
 
-    The device owns per-bank timing FSMs, per-rank ACT trackers, per-channel
-    bus trackers and per-(bank, subarray) occupancy state.  The memory
+    The device owns per-bank timing FSMs, per-rank ACT trackers and
+    per-channel bus trackers.  The memory
     controller (:mod:`repro.controller.mc`) drives it; mitigations reach in
     through the controller, never directly.
     """
@@ -106,9 +106,6 @@ class DramDevice:
         self.channels: List[ChannelTiming] = [
             ChannelTiming() for _ in range(geometry.channels)
         ]
-        # Subarray occupancy is lazily created: most experiments only touch
-        # a few banks and the full cross-product would be large.
-        self._subarrays: Dict[tuple, Subarray] = {}
 
     def bank(self, addr: BankAddress) -> Bank:
         self.geometry.validate(addr)
@@ -122,14 +119,6 @@ class DramDevice:
         if not 0 <= channel < self.geometry.channels:
             raise ValueError(f"channel {channel} outside geometry")
         return self.channels[channel]
-
-    def subarray(self, addr: BankAddress, subarray_index: int) -> Subarray:
-        """The occupancy state of one subarray (lazily instantiated)."""
-        self.geometry.validate(addr)
-        key = (addr, subarray_index)
-        if key not in self._subarrays:
-            self._subarrays[key] = Subarray(self.geometry.layout, subarray_index)
-        return self._subarrays[key]
 
     def aggregate_stats(self) -> BankStats:
         """Sum of all per-bank command counters.

@@ -57,27 +57,22 @@ class RankTiming:
         self._last_act = _FAR_PAST
         self._last_act_group = None
         self._group_last_act: Dict[int, int] = {}
+        # Column spacing (tCCD_L/tCCD_S): the controller's scan and
+        # column issue read and write these two fields directly.
         self._last_col = _FAR_PAST
         self._last_col_group = None
 
     # -- activates --------------------------------------------------------------
 
-    def earliest_act(self, cycle: int, group: int = 0) -> int:
-        """Earliest cycle >= ``cycle`` an ACT to ``group`` may issue."""
-        t = self._t
-        spacing = t.tRRD_L if group == self._last_act_group else t.tRRD_S
-        earliest = max(cycle, self._last_act + spacing)
-        # Same-group back-to-back ACTs always honour tRRD_L even if an
-        # other-group ACT slipped in between.
-        last_same = self._group_last_act.get(group, _FAR_PAST)
-        earliest = max(earliest, last_same + t.tRRD_L)
-        if len(self._act_times) == 4:
-            earliest = max(earliest, self._act_times[0] + t.tFAW)
-        return earliest
-
     def record_act(self, cycle: int, group: int = 0) -> None:
-        # Validation == cycle >= earliest_act(cycle, group), inlined:
-        # this runs once per ACT issued.
+        """Record an ACT to ``group`` at ``cycle``.
+
+        Raises if it comes during the rank's REF, within tRRD of the
+        last ACT (tRRD_L if that was to ``group``, tRRD_S otherwise),
+        within tRRD_L of the last ACT to ``group``, or within tFAW of
+        the fourth-last ACT.  The controller's candidate scan applies
+        the same rules when it times an ACT candidate.
+        """
         t = self._t
         spacing = t.tRRD_L if group == self._last_act_group else t.tRRD_S
         act_times = self._act_times
@@ -96,24 +91,6 @@ class RankTiming:
         self._last_act_group = group
         self._group_last_act[group] = cycle
         act_times.append(cycle)
-
-    # -- column commands ------------------------------------------------------------
-
-    def earliest_column(self, cycle: int, group: int = 0) -> int:
-        """Earliest cycle >= ``cycle`` a RD/WR to ``group`` may issue."""
-        t = self._t
-        spacing = t.tCCD_L if group == self._last_col_group else t.tCCD_S
-        return max(cycle, self._last_col + spacing)
-
-    def record_column(self, cycle: int, group: int = 0) -> None:
-        t = self._t
-        spacing = t.tCCD_L if group == self._last_col_group else t.tCCD_S
-        if cycle < self._last_col + spacing:
-            raise RuntimeError(
-                "DRAM protocol violation: column command before tCCD allows"
-            )
-        self._last_col = cycle
-        self._last_col_group = group
 
     # -- refresh ------------------------------------------------------------------
 

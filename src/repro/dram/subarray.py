@@ -102,25 +102,6 @@ class SubarrayLayout:
         sub = self.subarray_of_pa(pa_row)
         return self.da_row(sub, self.pa_offset(pa_row))
 
-    def paired_subarray(self, subarray: int) -> int:
-        """The subarray holding this subarray's remapping row.
-
-        Open-bitline constraint (paper Section V-B): paired subarrays
-        sandwich another subarray between them, i.e. pairs are (0,2),
-        (1,3), (4,6), (5,7), ... so partners never share a row buffer.
-        """
-        self._check_subarray(subarray)
-        group = subarray // 4
-        within = subarray % 4
-        partner_within = (within + 2) % 4
-        partner = group * 4 + partner_within
-        if partner >= self.subarrays_per_bank:
-            # Degenerate tail (bank not a multiple of 4): fall back to the
-            # adjacent-pair scheme which is always well defined for even
-            # subarray counts.
-            partner = subarray ^ 1
-        return partner
-
     def da_neighbors(self, da_row: int, radius: int):
         """DA rows within ``radius`` wordlines of ``da_row``, with distances.
 
@@ -159,64 +140,3 @@ class SubarrayLayout:
                 f"subarray {subarray} out of range "
                 f"[0, {self.subarrays_per_bank})"
             )
-
-
-class Subarray:
-    """Runtime state of one subarray: which PA row occupies each DA slot.
-
-    Under the factory mapping, slot ``i`` holds ordinary row ``i`` and the
-    last slot (if an empty row is provisioned) holds ``None``.  SHADOW
-    permutes this occupancy via row-copies; the class enforces that the
-    occupancy stays a permutation (each PA row in exactly one slot).
-    """
-
-    def __init__(self, layout: SubarrayLayout, index: int):
-        layout._check_subarray(index)
-        self.layout = layout
-        self.index = index
-        # occupancy[offset] = PA offset stored there, or None for empty.
-        self.occupancy = list(range(layout.rows_per_subarray))
-        if layout.has_empty_row:
-            self.occupancy.append(None)
-
-    @property
-    def empty_offset(self) -> int:
-        """DA offset of the slot currently holding no PA row."""
-        if not self.layout.has_empty_row:
-            raise RuntimeError("this layout has no empty row")
-        return self.occupancy.index(None)
-
-    def slot_of(self, pa_offset: int) -> int:
-        """DA offset currently holding PA offset ``pa_offset``."""
-        if not 0 <= pa_offset < self.layout.rows_per_subarray:
-            raise ValueError("PA offset out of range")
-        return self.occupancy.index(pa_offset)
-
-    def copy_row(self, src_offset: int, dst_offset: int) -> None:
-        """Move the content of DA slot ``src`` into DA slot ``dst``.
-
-        The destination must currently be the empty slot; after the copy
-        the source becomes the empty slot.  (The physical row-copy leaves
-        stale data in the source, but logically the source is now free;
-        SHADOW's remapping row no longer references it.)
-        """
-        n = self.layout.slots_per_subarray
-        if not (0 <= src_offset < n and 0 <= dst_offset < n):
-            raise ValueError("slot offset out of range")
-        if src_offset == dst_offset:
-            raise ValueError("source and destination slots must differ")
-        if self.occupancy[dst_offset] is not None:
-            raise ValueError("destination slot is not empty")
-        if self.occupancy[src_offset] is None:
-            raise ValueError("source slot is empty")
-        self.occupancy[dst_offset] = self.occupancy[src_offset]
-        self.occupancy[src_offset] = None
-
-    def check_permutation(self) -> None:
-        """Raise if the occupancy stopped being a valid permutation."""
-        present = [x for x in self.occupancy if x is not None]
-        expected = self.layout.rows_per_subarray
-        if len(present) != expected or len(set(present)) != expected:
-            raise AssertionError("subarray occupancy is not a permutation")
-        if self.layout.has_empty_row and self.occupancy.count(None) != 1:
-            raise AssertionError("subarray must have exactly one empty slot")

@@ -10,8 +10,8 @@ decisions it motivates:
   ordinary row (Section V-A);
 * **incremental refresh off** -- protection drops (Monte Carlo flip
   rate under the scenario-II adversary, Section IV-C);
-* **LFSR vs PRINCE RNG** -- performance equivalence of the cheap RNG
-  option (Section VIII).
+* **LFSR RNG** -- the paper's low-area RNG option (Section VIII)
+  performs as the seeded system RNG every other variant uses.
 
 All three studies ride one declarative
 :class:`~repro.spec.ExperimentSpec`: the timing and protection studies

@@ -181,9 +181,9 @@ class System:
         thread's readiness entry is parked in ``parked`` instead of
         pushed while its load window is full; the thread's next read
         completion pushes it back or drops it (same section).  A
-        readiness entry also pops the thread's entries at the same cycle
-        that are next in pop order, which stand for nothing it does not
-        already do (same section).
+        readiness entry issues at most one request, and also pops the
+        thread's entries at the same cycle that are next in pop order,
+        which stand for nothing it does not already do (same section).
         """
         config = self.config
         max_cycles = config.max_cycles
@@ -259,7 +259,7 @@ class System:
                     break
 
             elif kind == 0:
-                # -- thread readiness: issue while window/gaps allow ------
+                # -- thread readiness: issue if the window allows --------
                 # The thread's entries at this cycle that are next in pop
                 # order would see the state this entry leaves and only
                 # reschedule beside its own reschedule: fold them into
@@ -271,33 +271,27 @@ class System:
                         break
                     heappop(heap)
                 thread = threads[payload]
-                # ThreadState.can_issue inlined on both loop edges.
+                # ThreadState.can_issue inlined.
                 pending = thread._pending
                 if pending is not None and cycle >= thread.next_ready \
                         and (pending[2]
                              or thread.outstanding < thread.mlp):
-                    touched = set()
-                    add = touched.add
-                    while True:
-                        request = thread.issue(cycle)
-                        enqueue(request)
-                        add(request.location.channel)
-                        pending = thread._pending
-                        if pending is None \
-                                or cycle < thread.next_ready \
-                                or not (pending[2] or
-                                        thread.outstanding < thread.mlp):
-                            break
+                    # One request per pop: every materialized gap is at
+                    # least one cycle, so the thread is not ready again
+                    # in this cycle (a zero gap would issue through the
+                    # same-cycle reschedule below).
+                    request = thread.issue(cycle)
+                    enqueue(request)
                     # ThreadState.finished inlined.
-                    if pending is None and not thread.outstanding:
+                    if thread._pending is None and not thread.outstanding:
                         # Posted-write tail: drained with no loads out.
                         unfinished -= 1
-                    for ch in touched:
-                        c = armed_wake[ch]
-                        if c < 0 or cycle < c:
-                            armed_wake[ch] = cycle
-                            heappush(heap, (cycle, seq, 2, ch))
-                            seq += 1
+                    ch = request.location.channel
+                    c = armed_wake[ch]
+                    if c < 0 or cycle < c:
+                        armed_wake[ch] = cycle
+                        heappush(heap, (cycle, seq, 2, ch))
+                        seq += 1
                 # drained/stalled_on_mlp inlined: reschedule unless the
                 # trace is exhausted or the thread is stalled (ready but
                 # its load window full); a stalled thread gets its next

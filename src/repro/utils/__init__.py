@@ -1,19 +1,14 @@
 """Utility primitives shared across the reproduction.
 
-The SHADOW paper (Section V-C, Section VIII) requires a hardware random
-number generator per DRAM chip.  The default is a cryptographically secure
-PRNG built on the PRINCE block cipher; a cheaper LFSR-based option is also
-described.  Both are implemented here, together with small bit-manipulation
-helpers used by the DRAM address-mapping code.
+The SHADOW paper (Section V-C, Section VIII) requires a random number
+generator per DRAM chip.  Simulations draw from a seeded system RNG;
+the paper's low-area LFSR option is implemented here as well.
 """
 
-from repro.utils.bits import bit_length_for, extract_bits, parity64, popcount
 from repro.utils.lfsr import GaloisLFSR
-from repro.utils.prince import PrinceCipher
 from repro.utils.rng import (
     BufferedRng,
     LfsrRng,
-    PrinceRng,
     RandomSource,
     SystemRng,
     make_rng,
@@ -23,13 +18,7 @@ __all__ = [
     "BufferedRng",
     "GaloisLFSR",
     "LfsrRng",
-    "PrinceCipher",
-    "PrinceRng",
     "RandomSource",
     "SystemRng",
-    "bit_length_for",
-    "extract_bits",
     "make_rng",
-    "parity64",
-    "popcount",
 ]

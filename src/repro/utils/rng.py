@@ -2,8 +2,11 @@
 
 SHADOW selects ``Row_aggr`` and ``Row_rand`` using random numbers produced
 by a per-chip RNG unit and buffered in each bank's SHADOW controller
-(Section V-C).  The default unit is a CSPRNG built on the PRINCE block
-cipher in counter mode; a cheaper LFSR option exists (Section VIII).
+(Section V-C).  The paper's unit is a PRINCE-based CSPRNG, which this
+repository models only as a gate count in the area budget
+(:mod:`repro.analysis.area`).  Simulations draw from a seeded
+:class:`SystemRng`; the paper's cheaper LFSR option (Section VIII) is
+:class:`LfsrRng`.
 
 All sources implement :class:`RandomSource` so simulation code can swap
 them.  Every source is deterministic under its seed, which makes every
@@ -17,7 +20,6 @@ import random
 from typing import List
 
 from repro.utils.lfsr import GaloisLFSR
-from repro.utils.prince import PrinceCipher
 
 
 class RandomSource(abc.ABC):
@@ -54,47 +56,6 @@ class RandomSource(abc.ABC):
         for i in range(len(items) - 1, 0, -1):
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
-
-
-class PrinceRng(RandomSource):
-    """CSPRNG: PRINCE in counter mode (the paper's default RNG unit).
-
-    Each encryption of an incrementing counter yields 64 fresh bits.  The
-    paper budgets 126 Mbit/s of required throughput at 4K ``H_cnt``; PRINCE
-    delivers >1 Gbit/s even at DRAM core clocks, hence buffering hides all
-    latency.  Functionally we only need determinism + uniformity.
-    """
-
-    def __init__(self, key: int = 0x0123456789ABCDEF_FEDCBA9876543210, counter: int = 0):
-        self._cipher = PrinceCipher(key)
-        self._counter = counter
-        self._buffer = 0
-        self._buffered_bits = 0
-        self.blocks_generated = 0
-
-    def reseed(self, key: int, counter: int = 0) -> None:
-        """Boot-time / periodic key+counter initialization (Section VIII)."""
-        self._cipher = PrinceCipher(key)
-        self._counter = counter
-        self._buffer = 0
-        self._buffered_bits = 0
-
-    def _refill(self) -> None:
-        block = self._cipher.encrypt(self._counter & 0xFFFF_FFFF_FFFF_FFFF)
-        self._counter += 1
-        self.blocks_generated += 1
-        self._buffer = (self._buffer << 64) | block
-        self._buffered_bits += 64
-
-    def next_bits(self, width: int) -> int:
-        if width < 0:
-            raise ValueError("width must be non-negative")
-        while self._buffered_bits < width:
-            self._refill()
-        self._buffered_bits -= width
-        value = self._buffer >> self._buffered_bits
-        self._buffer &= (1 << self._buffered_bits) - 1
-        return value
 
 
 class LfsrRng(RandomSource):
@@ -179,15 +140,11 @@ class BufferedRng(RandomSource):
         return value
 
 
-def make_rng(kind: str = "prince", seed: int = 1) -> RandomSource:
+def make_rng(kind: str = "system", seed: int = 1) -> RandomSource:
     """Factory used by configuration code.
 
-    ``kind`` is one of ``"prince"``, ``"lfsr"``, or ``"system"``.
+    ``kind`` is ``"system"`` or ``"lfsr"``.
     """
-    if kind == "prince":
-        # Spread the seed across the 128-bit key space.
-        key = (seed * 0x9E3779B97F4A7C15) & ((1 << 128) - 1) | 1
-        return PrinceRng(key=key)
     if kind == "lfsr":
         return LfsrRng(seed=seed or 1)
     if kind == "system":

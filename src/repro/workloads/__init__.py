@@ -27,11 +27,6 @@ from repro.workloads.synthetic import (
     stream_profile,
 )
 from repro.workloads.trace import TraceGenerator, WorkloadProfile
-from repro.workloads.tracefile import (
-    FileTrace,
-    dump_trace_file,
-    load_trace_file,
-)
 
 # -- spec-registry entries ---------------------------------------------------------
 #
@@ -104,7 +99,6 @@ def _hammer(attack: str = "double-sided", victim_row: int = 260,
                            sides=sides, radius=radius)] * threads
 
 __all__ = [
-    "FileTrace",
     "GAPBS_PROFILES",
     "NPB_PROFILES",
     "SPEC_HIGH",
@@ -113,8 +107,6 @@ __all__ = [
     "SPEC_PROFILES",
     "TraceGenerator",
     "WorkloadProfile",
-    "dump_trace_file",
-    "load_trace_file",
     "mix_blend",
     "mix_high",
     "mix_random",

@@ -11,7 +11,7 @@ The profile is a frozen dataclass like ``WorkloadProfile`` (picklable,
 ``asdict``-able, carries a ``name``), and plugs into the system through
 the ``trace_generator`` hook that
 :func:`~repro.workloads.trace.thread_traces` dispatches on: any profile
-exposing ``trace_generator(mapping, thread_id, seed, cpu_ghz)`` supplies
+exposing ``trace_generator(geometry, thread_id, seed, cpu_ghz)`` supplies
 its own generator; plain profiles keep the default
 :class:`~repro.workloads.trace.TraceGenerator` path untouched.
 """
@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.controller.address import AddressMapping, MemoryLocation
+from repro.controller.address import MemoryLocation
+from repro.dram.device import DramGeometry
 from repro.rowhammer.attacks import (
     AttackPattern,
     blast_attack,
@@ -70,20 +71,18 @@ class HammerProfile:
             "['single-sided', 'double-sided', 'many-sided', "
             "'half-double', 'blast']")
 
-    def trace_generator(self, mapping: AddressMapping, thread_id: int,
+    def trace_generator(self, geometry: DramGeometry, thread_id: int,
                         seed: int, cpu_ghz: float) -> "HammerTraceGenerator":
         """Trace dispatch hook (same signature intent as
-        ``TraceGenerator(profile, mapping, thread_id, seed, cpu_ghz)``)."""
-        return HammerTraceGenerator(self, mapping)
+        ``TraceGenerator(profile, geometry, thread_id, seed, cpu_ghz)``)."""
+        return HammerTraceGenerator(self, geometry)
 
 
 class HammerTraceGenerator:
     """Deterministic aggressor-rotation stream (reads, fixed column)."""
 
-    def __init__(self, profile: HammerProfile, mapping: AddressMapping):
+    def __init__(self, profile: HammerProfile, geometry: DramGeometry):
         self.profile = profile
-        self.mapping = mapping
-        geometry = mapping.geometry
         rows = geometry.rows_per_bank
         if profile.victim_row >= rows:
             raise ValueError(

@@ -23,7 +23,8 @@ from functools import lru_cache
 from itertools import accumulate, islice
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.controller.address import AddressMapping, MemoryLocation
+from repro.controller.address import MemoryLocation
+from repro.dram.device import DramGeometry
 
 #: One materialized request: ``(gap_cycles, location, is_write)``.
 Op = Tuple[int, MemoryLocation, bool]
@@ -87,14 +88,13 @@ def zipf_cdf(footprint_pages: int, alpha: float) -> Tuple[float, ...]:
 class TraceGenerator:
     """Deterministic per-thread request stream."""
 
-    def __init__(self, profile: WorkloadProfile, mapping: AddressMapping,
+    def __init__(self, profile: WorkloadProfile, geometry: DramGeometry,
                  thread_id: int, seed: int = 1, cpu_ghz: float = 3.1,
                  instructions_per_cycle: float = 2.0):
         self.profile = profile
-        self.mapping = mapping
+        self.geometry = geometry
         self.thread_id = thread_id
         self.seed = seed
-        geometry = mapping.geometry
         # Gaps are kept in *nanoseconds* internally (the system converts
         # to DRAM cycles), so one trace serves any speed grade.
         self._gap_ns_per_instr = 1.0 / (cpu_ghz * instructions_per_cycle)
@@ -159,7 +159,7 @@ class TraceGenerator:
         locality = profile.row_buffer_locality
         write_fraction = profile.write_fraction
         gap_scale = (1000.0 / profile.mpki) * self._gap_ns_per_instr
-        geometry = self.mapping.geometry
+        geometry = self.geometry
         banks = geometry.banks_per_rank
         ranks = geometry.ranks_per_channel
         rows = geometry.rows_per_bank
@@ -230,7 +230,7 @@ def thread_traces(profiles: Sequence, config) -> Tuple[Tuple[Op, ...], ...]:
     """Each thread's first ``config.requests_per_thread`` requests, gaps
     in DRAM cycles, as read-only op tuples.
 
-    Profiles exposing ``trace_generator(mapping, thread_id, seed,
+    Profiles exposing ``trace_generator(geometry, thread_id, seed,
     cpu_ghz)`` (the adversarial hammer profiles) supply their own
     stream; everything else takes the statistical
     :class:`TraceGenerator`.  A run whose :func:`trace_key` equals the
@@ -242,14 +242,15 @@ def thread_traces(profiles: Sequence, config) -> Tuple[Tuple[Op, ...], ...]:
     if _last_traces[0] == key:
         return _last_traces[1]
     _last_traces = (None, ())
-    mapping = AddressMapping(config.geometry)
+    geometry = config.geometry
     traces = []
     for thread_id, profile in enumerate(profiles):
         make = getattr(profile, "trace_generator", None)
         if make is not None:
-            generator = make(mapping, thread_id, config.seed, config.cpu_ghz)
+            generator = make(geometry, thread_id, config.seed,
+                             config.cpu_ghz)
         else:
-            generator = TraceGenerator(profile, mapping, thread_id,
+            generator = TraceGenerator(profile, geometry, thread_id,
                                        seed=config.seed,
                                        cpu_ghz=config.cpu_ghz)
         traces.append(tuple(generator.materialize(

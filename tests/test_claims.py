@@ -266,7 +266,8 @@ def test_ablations(results):
         protection["no shuffle (RFM only)"]
 
     performance = results["performance"]
-    # The LFSR RNG option performs the same as PRINCE (Section VIII).
+    # The LFSR RNG option (Section VIII) performs the same as the
+    # system RNG of the full SHADOW row.
     assert abs(performance["LFSR RNG"]
                - performance["full SHADOW"]) < 0.03
     # The un-paired variant pays for its longer tRCD'.

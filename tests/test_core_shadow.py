@@ -243,7 +243,7 @@ class TestShadowMitigation:
             shadow.bind(geometry, DDR4_2666)
 
     def test_per_bank_controllers_independent_streams(self):
-        shadow = Shadow(ShadowConfig(raaimt=4, rng_kind="prince"))
+        shadow = Shadow(ShadowConfig(raaimt=4, rng_kind="system"))
         geometry = DramGeometry(channels=1, ranks_per_channel=1,
                                 banks_per_rank=2, layout=LAYOUT)
         shadow.bind(geometry, DDR4_2666)

@@ -4,30 +4,26 @@ import pytest
 
 from repro.dram.channel import ChannelTiming
 from repro.dram.device import BankAddress, DramDevice, DramGeometry
-from repro.dram.rank import RankTiming
 from repro.dram.refresh import RefreshTracker, emulated_trefi
 from repro.dram.subarray import SubarrayLayout
 from repro.dram.timing import DDR4_2666
+from tests.test_bank_groups import act_accepted
 
 T = DDR4_2666
 
 
 class TestRankTiming:
     def test_trrd_enforced(self):
-        rank = RankTiming(T)
-        rank.record_act(100)
-        assert rank.earliest_act(100) == 100 + T.tRRD_L
-        with pytest.raises(RuntimeError):
-            rank.record_act(100 + T.tRRD_L - 1)
+        assert not act_accepted([(100, 0)], 100 + T.tRRD_L - 1)
+        assert act_accepted([(100, 0)], 100 + T.tRRD_L)
 
     def test_tfaw_enforced(self):
-        rank = RankTiming(T)
         times = [0, T.tRRD_L, 2 * T.tRRD_L, 3 * T.tRRD_L]
-        for t in times:
-            rank.record_act(t)
+        acts = [(t, 0) for t in times]
         # Fifth ACT must wait until the first leaves the tFAW window.
         expected = max(times[-1] + T.tRRD_L, times[0] + T.tFAW)
-        assert rank.earliest_act(0) == expected
+        assert not act_accepted(acts, expected - 1)
+        assert act_accepted(acts, expected)
 
 
 class TestChannelTiming:
@@ -74,14 +70,6 @@ class TestDeviceComposition:
             dev.bank(BankAddress(0, 0, 2))
         with pytest.raises(ValueError):
             dev.channel(1)
-
-    def test_subarrays_lazily_created_and_cached(self):
-        g = DramGeometry(channels=1, ranks_per_channel=1, banks_per_rank=1)
-        dev = DramDevice(g, T)
-        addr = BankAddress(0, 0, 0)
-        sa = dev.subarray(addr, 3)
-        assert dev.subarray(addr, 3) is sa
-        assert sa.index == 3
 
     def test_aggregate_stats(self):
         g = DramGeometry(channels=1, ranks_per_channel=1, banks_per_rank=2)

@@ -1,10 +1,10 @@
-"""Subarray layout arithmetic and occupancy permutation invariants."""
+"""Subarray layout arithmetic."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.subarray import Subarray, SubarrayLayout
+from repro.dram.subarray import SubarrayLayout
 
 LAYOUT = SubarrayLayout(subarrays_per_bank=16, rows_per_subarray=512)
 
@@ -52,74 +52,3 @@ class TestLayout:
             LAYOUT.subarray_of_da(-1)
         with pytest.raises(ValueError):
             LAYOUT.da_row(0, 513)
-
-    def test_pairing_is_an_involution_and_skips_neighbours(self):
-        for sub in range(LAYOUT.subarrays_per_bank):
-            pair = LAYOUT.paired_subarray(sub)
-            assert pair != sub
-            assert LAYOUT.paired_subarray(pair) == sub
-            # Open-bitline constraint: partners must not be adjacent
-            # (adjacent subarrays share a row buffer).
-            assert abs(pair - sub) >= 2
-
-    def test_pairing_small_bank_fallback(self):
-        small = SubarrayLayout(subarrays_per_bank=2, rows_per_subarray=8)
-        assert small.paired_subarray(0) == 1
-        assert small.paired_subarray(1) == 0
-
-
-class TestSubarrayOccupancy:
-    def make(self):
-        return Subarray(SubarrayLayout(subarrays_per_bank=4,
-                                       rows_per_subarray=8), index=1)
-
-    def test_initial_identity_mapping(self):
-        sa = self.make()
-        assert sa.occupancy[:8] == list(range(8))
-        assert sa.empty_offset == 8
-        sa.check_permutation()
-
-    def test_copy_row_moves_occupant(self):
-        sa = self.make()
-        sa.copy_row(src_offset=3, dst_offset=8)
-        assert sa.occupancy[8] == 3
-        assert sa.empty_offset == 3
-        sa.check_permutation()
-
-    def test_copy_into_occupied_slot_rejected(self):
-        sa = self.make()
-        with pytest.raises(ValueError):
-            sa.copy_row(0, 1)
-
-    def test_copy_from_empty_slot_rejected(self):
-        sa = self.make()
-        with pytest.raises(ValueError):
-            sa.copy_row(8, 0)
-
-    def test_copy_to_self_rejected(self):
-        sa = self.make()
-        with pytest.raises(ValueError):
-            sa.copy_row(2, 2)
-
-    def test_slot_of(self):
-        sa = self.make()
-        sa.copy_row(5, 8)
-        assert sa.slot_of(5) == 8
-        with pytest.raises(ValueError):
-            sa.slot_of(8)  # 8 is not a valid PA offset for 8-row subarray
-
-    @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1,
-                    max_size=40))
-    @settings(max_examples=30)
-    def test_random_shuffle_sequences_preserve_permutation(self, rows):
-        """A SHADOW-like shuffle (move row X to empty, repeat) is always a
-        permutation."""
-        sa = self.make()
-        for pa_offset in rows:
-            src = sa.slot_of(pa_offset)
-            dst = sa.empty_offset
-            if src == dst:
-                continue
-            sa.copy_row(src, dst)
-            sa.check_permutation()
-        sa.check_permutation()

@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.controller.address import AddressMapping
 from repro.rowhammer.attacks import double_sided, many_sided
 from repro.sim import SystemConfig
 from repro.spec.registry import WORKLOADS
@@ -14,7 +13,7 @@ from repro.workloads.hammer import (
     hammer_profile,
 )
 
-MAPPING = AddressMapping(SystemConfig().geometry)
+GEOMETRY = SystemConfig().geometry
 
 
 class TestProfile:
@@ -44,7 +43,7 @@ class TestProfile:
 class TestTraceGenerator:
     def test_materialize_rotates_the_pattern(self):
         profile = hammer_profile("double-sided", victim_row=100)
-        generator = profile.trace_generator(MAPPING, 0, seed=1,
+        generator = profile.trace_generator(GEOMETRY, 0, seed=1,
                                             cpu_ghz=3.0)
         ops = generator.materialize(5, tck_ns=0.75)
         rows = [loc.row for _, loc, _ in ops]
@@ -56,13 +55,13 @@ class TestTraceGenerator:
             assert loc.column == 0
 
     def test_victim_outside_bank_rejected(self):
-        rows = MAPPING.geometry.rows_per_bank
+        rows = GEOMETRY.rows_per_bank
         with pytest.raises(ValueError, match="outside the bank"):
             HammerTraceGenerator(
-                HammerProfile(victim_row=rows + 5), MAPPING)
+                HammerProfile(victim_row=rows + 5), GEOMETRY)
 
     def test_count_validation(self):
-        generator = hammer_profile().trace_generator(MAPPING, 0, 1, 3.0)
+        generator = hammer_profile().trace_generator(GEOMETRY, 0, 1, 3.0)
         with pytest.raises(ValueError):
             generator.materialize(-1)
         assert generator.materialize(0) == []

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.controller.address import AddressMapping, MemoryLocation
+from repro.controller.address import MemoryLocation
 from repro.controller.request import MemoryRequest
 from repro.core import Shadow, ShadowConfig
 from repro.dram.device import DramGeometry
@@ -221,10 +221,10 @@ class TestTraceSlot:
         for a, b in zip(self._ops(first), self._ops(second)):
             assert a is b
             assert isinstance(a, tuple)
-        mapping = AddressMapping(config.geometry)
         for i, (profile, ops) in enumerate(
                 zip(self.PROFILES, self._ops(first))):
-            fresh = TraceGenerator(profile, mapping, i, seed=config.seed,
+            fresh = TraceGenerator(profile, config.geometry, i,
+                                   seed=config.seed,
                                    cpu_ghz=config.cpu_ghz).materialize(
                 config.requests_per_thread, config.timing.tck_ns)
             assert list(ops) == fresh

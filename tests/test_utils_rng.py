@@ -1,45 +1,14 @@
-"""RNG sources, LFSR, and bit helpers."""
+"""RNG sources and the LFSR."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.utils.bits import bit_length_for, extract_bits, parity64, popcount
 from repro.utils.lfsr import DEFAULT_TAPS, GaloisLFSR
 from repro.utils.rng import (
     BufferedRng,
     LfsrRng,
-    PrinceRng,
     SystemRng,
     make_rng,
 )
-
-
-class TestBits:
-    def test_popcount(self):
-        assert popcount(0) == 0
-        assert popcount(0b1011) == 3
-        with pytest.raises(ValueError):
-            popcount(-1)
-
-    @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
-    @settings(max_examples=50)
-    def test_parity64_matches_popcount(self, value):
-        assert parity64(value) == popcount(value) % 2
-
-    def test_extract_bits(self):
-        assert extract_bits(0b101100, 2, 3) == 0b011
-        assert extract_bits(0xFF, 4, 4) == 0xF
-        with pytest.raises(ValueError):
-            extract_bits(5, -1, 2)
-
-    def test_bit_length_for(self):
-        assert bit_length_for(1) == 0
-        assert bit_length_for(2) == 1
-        assert bit_length_for(512) == 9
-        assert bit_length_for(513) == 10
-        with pytest.raises(ValueError):
-            bit_length_for(0)
 
 
 class TestLfsr:
@@ -83,7 +52,7 @@ class TestLfsr:
 
 
 class TestRandomSources:
-    @pytest.mark.parametrize("kind", ["prince", "lfsr", "system"])
+    @pytest.mark.parametrize("kind", ["lfsr", "system"])
     def test_factory_and_determinism(self, kind):
         a = make_rng(kind, seed=7)
         b = make_rng(kind, seed=7)
@@ -92,8 +61,8 @@ class TestRandomSources:
         ]
 
     def test_different_seeds_differ(self):
-        a = make_rng("prince", seed=1)
-        b = make_rng("prince", seed=2)
+        a = make_rng("system", seed=1)
+        b = make_rng("system", seed=2)
         assert [a.next_bits(32) for _ in range(4)] != [
             b.next_bits(32) for _ in range(4)
         ]
@@ -103,7 +72,7 @@ class TestRandomSources:
             make_rng("quantum")
 
     @pytest.mark.parametrize(
-        "rng", [PrinceRng(), LfsrRng(), SystemRng(3)], ids=["prince", "lfsr", "sys"]
+        "rng", [LfsrRng(), SystemRng(3)], ids=["lfsr", "sys"]
     )
     def test_randrange_bounds(self, rng):
         for bound in (1, 2, 3, 17, 512, 513):
@@ -111,12 +80,12 @@ class TestRandomSources:
                 assert 0 <= rng.randrange(bound) < bound
 
     def test_randrange_rejects_nonpositive(self):
-        rng = PrinceRng()
+        rng = LfsrRng()
         with pytest.raises(ValueError):
             rng.randrange(0)
 
     def test_randrange_roughly_uniform(self):
-        rng = PrinceRng(key=42)
+        rng = LfsrRng(seed=42)
         counts = [0] * 8
         for _ in range(4000):
             counts[rng.randrange(8)] += 1
@@ -132,17 +101,11 @@ class TestRandomSources:
         with pytest.raises(ValueError):
             rng.choice([])
 
-    def test_prince_reseed_restarts_stream(self):
-        rng = PrinceRng(key=9)
-        first = [rng.next_bits(64) for _ in range(3)]
-        rng.reseed(key=9)
-        assert [rng.next_bits(64) for _ in range(3)] == first
-
 
 class TestBufferedRng:
     def test_stream_matches_backing_source(self):
-        direct = PrinceRng(key=11)
-        buffered = BufferedRng(PrinceRng(key=11), word_width=32, depth=4)
+        direct = LfsrRng(seed=11)
+        buffered = BufferedRng(LfsrRng(seed=11), word_width=32, depth=4)
         got = [buffered.next_bits(32) for _ in range(16)]
         want = [direct.next_bits(32) for _ in range(16)]
         assert got == want

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from repro.bench import BENCH_PROFILES
-from repro.controller.address import AddressMapping
 from repro.dram.device import DramGeometry
 from repro.dram.timing import DDR4_2666
 from repro.workloads import (
@@ -28,7 +27,6 @@ from repro.workloads import (
 from repro.workloads.trace import zipf_cdf
 
 GEOMETRY = DramGeometry()
-MAPPING = AddressMapping(GEOMETRY)
 
 
 def take(gen, n):
@@ -87,31 +85,31 @@ class TestProfiles:
 
 class TestTraceGenerator:
     def test_deterministic_under_seed(self):
-        a = take(TraceGenerator(SPEC_PROFILES["mcf"], MAPPING, 0, seed=5), 50)
-        b = take(TraceGenerator(SPEC_PROFILES["mcf"], MAPPING, 0, seed=5), 50)
+        a = take(TraceGenerator(SPEC_PROFILES["mcf"], GEOMETRY, 0, seed=5), 50)
+        b = take(TraceGenerator(SPEC_PROFILES["mcf"], GEOMETRY, 0, seed=5), 50)
         assert a == b
 
     def test_different_threads_differ(self):
-        a = take(TraceGenerator(SPEC_PROFILES["mcf"], MAPPING, 0, seed=5), 50)
-        b = take(TraceGenerator(SPEC_PROFILES["mcf"], MAPPING, 1, seed=5), 50)
+        a = take(TraceGenerator(SPEC_PROFILES["mcf"], GEOMETRY, 0, seed=5), 50)
+        b = take(TraceGenerator(SPEC_PROFILES["mcf"], GEOMETRY, 1, seed=5), 50)
         assert a != b
 
     def test_locations_are_in_geometry(self):
         for _gap, loc, _w in take(
-                TraceGenerator(SPEC_PROFILES["bwaves"], MAPPING, 2), 200):
+                TraceGenerator(SPEC_PROFILES["bwaves"], GEOMETRY, 2), 200):
             assert 0 <= loc.channel < GEOMETRY.channels
             assert 0 <= loc.row < GEOMETRY.rows_per_bank
             assert 0 <= loc.column < GEOMETRY.columns_per_row
 
     def test_gaps_scale_with_mpki(self):
-        hot = take(TraceGenerator(random_stream_profile(), MAPPING, 0), 300)
-        cold = take(TraceGenerator(SPEC_PROFILES["leela"], MAPPING, 0), 300)
+        hot = take(TraceGenerator(random_stream_profile(), GEOMETRY, 0), 300)
+        cold = take(TraceGenerator(SPEC_PROFILES["leela"], GEOMETRY, 0), 300)
         mean_hot = sum(g for g, _l, _w in hot) / len(hot)
         mean_cold = sum(g for g, _l, _w in cold) / len(cold)
         assert mean_cold > 20 * mean_hot
 
     def test_sequential_profile_streams_rows(self):
-        reqs = take(TraceGenerator(stream_profile(), MAPPING, 0), 400)
+        reqs = take(TraceGenerator(stream_profile(), GEOMETRY, 0), 400)
         # High-locality stream: most consecutive accesses share the row.
         same = sum(
             1 for (g1, a, w1), (g2, b, w2) in zip(reqs, reqs[1:])
@@ -126,7 +124,7 @@ class TestTraceGenerator:
         def top_share(profile):
             counts = {}
             for _g, loc, _w in take(
-                    TraceGenerator(profile, MAPPING, 0, seed=9), 2000):
+                    TraceGenerator(profile, GEOMETRY, 0, seed=9), 2000):
                 key = (loc.rank, loc.bank, loc.row)
                 counts[key] = counts.get(key, 0) + 1
             return max(counts.values()) / 2000
@@ -135,7 +133,7 @@ class TestTraceGenerator:
     def test_write_fraction_respected(self):
         p = WorkloadProfile("w", mpki=10, row_buffer_locality=0.0,
                             write_fraction=0.5)
-        reqs = take(TraceGenerator(p, MAPPING, 0, seed=3), 1000)
+        reqs = take(TraceGenerator(p, GEOMETRY, 0, seed=3), 1000)
         writes = sum(1 for _g, _l, w in reqs if w)
         assert 380 < writes < 620
 
@@ -172,7 +170,7 @@ class TestStreamPin:
 
     @pytest.mark.parametrize("kind", sorted(PROFILES))
     def test_materialized_stream_digest(self, kind):
-        gen = TraceGenerator(self.PROFILES[kind], MAPPING, thread_id=3,
+        gen = TraceGenerator(self.PROFILES[kind], GEOMETRY, thread_id=3,
                              seed=11)
         flat = [(gap_ns, gap, loc.channel, loc.rank, loc.bank, loc.row,
                  loc.column, is_write)
@@ -181,6 +179,14 @@ class TestStreamPin:
                     gen.materialize(3000, DDR4_2666.tck_ns))]
         digest = hashlib.sha256(repr(flat).encode()).hexdigest()
         assert digest == self.DIGESTS[kind]
+        # A gap shorter than one DRAM cycle still waits one cycle, so a
+        # thread is never ready again in the cycle it issued (the event
+        # loop issues one request per readiness pop).
+        tck_ns = 16.0
+        assert min(gap_ns for gap_ns, _loc, _w in gen.materialize(3000)) \
+            < tck_ns
+        assert min(gap for gap, _loc, _w in gen.materialize(3000, tck_ns)) \
+            == 1
 
 
 class TestZipfPageMap:
